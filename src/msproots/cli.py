@@ -22,7 +22,7 @@ from .msp import (
     msp_value_dp,
     msp_value_naive,
 )
-from .partitions import canonical_residues, format_partition, parse_partition
+from .partitions import canonical_residues, format_partition, parse_partition, residues_merge_free
 
 BUDGET_ENV = "MSPROOTS_BUDGET"
 
@@ -41,9 +41,20 @@ def _budget(args):
     if raw is None:
         return None
     try:
-        return int(raw)
+        return _positive(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{BUDGET_ENV} {exc}") from None
+
+
+def _positive(text):
+    """argparse type for counts and budgets: a positive integer."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _emit(payload: dict, fmt: str):
@@ -61,10 +72,11 @@ def _cmd_eval(args) -> int:
     if len(parts) != k * n:
         raise ValueError(f"lambda needs {k * n} parts for n={n}, k={k}, got {len(parts)}")
     canon = canonical_residues(parts, n)
-    if canon != parts:
+    if canon != parts and residues_merge_free(parts, n):
         print(f"note: parts canonicalized to residues 1..{n}: {format_partition(canon)}",
               file=sys.stderr)
-    inst = EvalInstance(canon, n, k)
+        parts = canon
+    inst = EvalInstance(parts, n, k)
     budget = _budget(args)
     method = args.method
     if method == "auto":
@@ -82,7 +94,7 @@ def _cmd_eval(args) -> int:
         value, used = msp_value_naive(inst), "naive"
     else:
         value, used = msp_value_dp(inst, budget), "dp"
-    _emit({"n": n, "k": k, "lambda": format_partition(canon), "value": value,
+    _emit({"n": n, "k": k, "lambda": format_partition(parts), "value": value,
            "method_used": used}, args.format)
     return EXIT_OK
 
@@ -110,11 +122,11 @@ def _cmd_count(args) -> int:
 def _run_suite(name, args):
     budget = _budget(args)
     if name == "thm11":
-        return checks.check_thm11(args.n, args.k, jobs=args.jobs)
+        return checks.check_thm11(args.n, args.k)
     if name == "thm12":
-        return checks.check_thm12(args.n, args.k, jobs=args.jobs)
+        return checks.check_thm12(args.n, args.k)
     if name == "thm32":
-        return checks.check_thm32(args.n, args.k, budget=budget, jobs=args.jobs)
+        return checks.check_thm32(args.n, args.k, budget=budget)
     if name == "lemma24":
         if args.lam:
             return checks.check_lemma_2_4(args.n, parse_partition(args.lam))
@@ -122,7 +134,7 @@ def _run_suite(name, args):
     if name == "prop21":
         return checks.check_prop_2_1(args.n, args.k, budget=budget)
     if name == "branching":
-        return checks.check_branching(args.n, args.k, args.l, jobs=args.jobs, budget=budget)
+        return checks.check_branching(args.n, args.k, args.l, budget=budget)
     raise ValueError(f"unknown suite {name!r}")
 
 
@@ -158,7 +170,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    rep = checks.explore_conjecture(args.n, args.k, budget=_budget(args), jobs=args.jobs)
+    rep = checks.explore_conjecture(args.n, args.k, budget=_budget(args))
     if args.format == "json":
         print(json.dumps(rep.to_dict()))
     else:
@@ -178,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, k_flag=True):
-        p.add_argument("--n", type=int, required=True, help="order of the root of unity")
+        p.add_argument("--n", type=_positive, required=True, help="order of the root of unity")
         if k_flag:
-            p.add_argument("--k", type=int, default=1, help="power / multiplicity (default 1)")
+            p.add_argument("--k", type=_positive, default=1, help="power / multiplicity (default 1)")
         p.add_argument("--format", choices=("json", "tsv", "plain"), default="json")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive, default=None,
                        help=f"override size budgets (default also via ${BUDGET_ENV})")
 
     p = sub.add_parser("eval", help="evaluate one partition")
@@ -203,15 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--l", type=int, default=1, help="second power for the branching suite")
+    p.add_argument("--l", type=_positive, default=1, help="second power for the branching suite")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="partition for the lemma24 suite (default: seeded random sweep)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="classify coefficients of one (n, k)")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
     p.set_defaults(handler=_cmd_conjecture)
 
     return parser

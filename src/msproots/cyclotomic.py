@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .partitions import divisors
+
 
 class IntegralityViolation(ArithmeticError):
     """A value that was required to be a rational integer is not one."""
@@ -52,28 +54,6 @@ class IntPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -107,30 +87,11 @@ class IntPolynomial:
                     rem[i - db + j] -= c * b
         return IntPolynomial(quot), IntPolynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
-
-
-def _divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _x_pow_minus_one(n):
-    return IntPolynomial([-1] + [0] * (n - 1) + [1])
 
 
 @lru_cache(maxsize=None)
@@ -147,9 +108,9 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     if n == 1:
         return IntPolynomial((-1, 1))
     den = IntPolynomial((1,))
-    for d in _divisors(n)[:-1]:
+    for d in divisors(n)[:-1]:
         den = den * cyclotomic_poly(d)
-    quo, rem = divmod(_x_pow_minus_one(n), den)
+    quo, rem = divmod(IntPolynomial([-1] + [0] * (n - 1) + [1]), den)
     if not rem.is_zero():
         raise AssertionError(f"cyclotomic division left a remainder at n={n}; arithmetic is broken")
     return quo
@@ -301,3 +262,37 @@ def root_power(n: int, e: int) -> CyclotomicInt:
     vec = [0] * n
     vec[e % n] = 1
     return CyclotomicInt(n, vec)
+
+
+def shift_add_walk(rows, caps, n: int) -> dict:
+    """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
+
+    The frontier maps each count vector to a length-n weight vector and
+    starts as {zero vector: 1}. Step r raises one entry j of a count
+    vector by one, up to caps[j], and adds its weight rotated by
+    rows[r][j] into the child's weight. The frontier after the last row
+    is returned; every count vector in it sums to len(rows).
+    """
+    start = [0] * n
+    start[0] = 1
+    frontier = {(0,) * len(caps): start}
+    for shifts in rows:
+        nxt = {}
+        for state, vec in frontier.items():
+            for idx, c in enumerate(state):
+                if c < caps[idx]:
+                    child = state[:idx] + (c + 1,) + state[idx + 1:]
+                    dst = nxt.get(child)
+                    if dst is None:
+                        nxt[child] = dst = [0] * n
+                    t = shifts[idx]
+                    if t:
+                        for e, a in enumerate(vec):
+                            if a:
+                                dst[(e + t) % n] += a
+                    else:
+                        for e, a in enumerate(vec):
+                            if a:
+                                dst[e] += a
+        frontier = nxt
+    return frontier

@@ -12,7 +12,7 @@ from itertools import permutations
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicInt
+from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import BudgetExceeded, EvalInstance, msp_value_dp
 from .partitions import binomial, format_partition, is_prime, lambda_tilde_size
 
@@ -168,29 +168,9 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     bound = binomial(k * n + n - 1, n - 1)
     if bound > budget:
         raise BudgetExceeded(f"expansion may reach {bound} monomials, over the budget of {budget}")
-    acc = {(0,) * n: [1] + [0] * (n - 1)}
-    for _ in range(k):
-        for i in range(1, n + 1):
-            shifts = [(i * j) % n for j in range(1, n + 1)]
-            nxt = {}
-            for key, vec in acc.items():
-                for j in range(n):
-                    child = key[:j] + (key[j] + 1,) + key[j + 1:]
-                    dst = nxt.get(child)
-                    if dst is None:
-                        nxt[child] = dst = [0] * n
-                    t = shifts[j]
-                    if t:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[(e + t) % n] += a
-                    else:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[e] += a
-            acc = nxt
+    rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
-    for key, vec in acc.items():
+    for key, vec in shift_add_walk(rows, (k * n,) * n, n).items():
         val = CyclotomicInt(n, vec).to_integer()
         if val:
             terms[key] = val

@@ -5,13 +5,14 @@ entry is zeta_n^(j-1), i.e. k copies of every n-th root of unity. The
 value of the orbit sum m_lambda there is always a plain integer, and
 three independent routes compute it: a direct walk over the distinct
 rearrangements of lambda (the reference oracle), a dynamic program over
-residual part multiplicities, and closed forms for special part shapes.
+part multiplicities, and closed forms for special part shapes.
 
 Parts may be arbitrary integers; the value depends only on the multiset
 of parts. Note that replacing parts by their residues mod n preserves
 the value only when no two distinct parts are congruent (merging values
 changes the orbit size), so the closed forms canonicalize internally
-but the evaluators never do.
+only when no two distinct parts are congruent, and the other evaluators
+never do.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .cyclotomic import CyclotomicInt, IntegralityViolation  # noqa: F401  (re-export)
-from .partitions import binomial, canonical_residues, is_prime
+from .cyclotomic import CyclotomicInt, IntegralityViolation, shift_add_walk  # noqa: F401  (re-export)
+from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
 DEFAULT_STATE_BUDGET = 10_000_000
 NAIVE_LENGTH_LIMIT = 9
@@ -82,10 +83,10 @@ def msp_value_naive(inst: EvalInstance, limit: int = NAIVE_LENGTH_LIMIT) -> int:
 
 
 def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
-    """Dynamic program over residual part multiplicities.
+    """Dynamic program over placed part multiplicities.
 
     Positions 1..kn are filled in order; a state records how many copies
-    of each distinct part are still unplaced, and carries the summed
+    of each distinct part are already placed, and carries the summed
     zeta-power weight of every way of reaching it. Assigning part v to
     position j multiplies a path weight by zeta^(v*(j-1)). Each distinct
     rearrangement is counted exactly once because equal parts are only
@@ -105,31 +106,8 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
 
 @lru_cache(maxsize=None)
 def _dp_value(values, mults, n):
-    length = sum(mults)
-    start = [0] * n
-    start[0] = 1
-    frontier = {mults: start}
-    for pos in range(length):
-        shifts = [(v * pos) % n for v in values]
-        nxt = {}
-        for state, vec in frontier.items():
-            for idx, c in enumerate(state):
-                if c:
-                    child = state[:idx] + (c - 1,) + state[idx + 1:]
-                    dst = nxt.get(child)
-                    if dst is None:
-                        nxt[child] = dst = [0] * n
-                    t = shifts[idx]
-                    if t:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[(e + t) % n] += a
-                    else:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[e] += a
-        frontier = nxt
-    (vec,) = frontier.values()
+    rows = [[(v * pos) % n for v in values] for pos in range(sum(mults))]
+    (vec,) = shift_add_walk(rows, mults, n).values()
     return CyclotomicInt(n, vec).to_integer()
 
 
@@ -178,9 +156,11 @@ def mansfield_coefficient(inst: EvalInstance) -> int | None:
     value scales with k (the k = 1 base values are -n/2, -n, n/3, n and
     2n per shape, and the congruence conditions make every division
     exact and every matched value nonzero). Returns None when no shape
-    applies.
+    applies, or when two distinct parts are congruent mod n.
     """
     n, k = inst.n, inst.k
+    if not residues_merge_free(inst.parts, n):
+        return None
     canon = canonical_residues(inst.parts, n)
     low = [p for p in canon if p != n]
     if len(low) == 2:
@@ -273,8 +253,11 @@ def closed_form_value(inst: EvalInstance):
 
     The shape matchers overlap on some partitions (e.g. a doubled part
     with the rest n's); their values agree there, so the order is
-    immaterial.
+    immaterial. The forms are stated for canonical residues, so None is
+    returned when two distinct parts are congruent mod n.
     """
+    if not residues_merge_free(inst.parts, inst.n):
+        return None
     v = mansfield_coefficient(inst)
     if v is not None:
         return v, "pattern"

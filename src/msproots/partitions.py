@@ -95,6 +95,16 @@ def canonical_residues(parts, n: int) -> tuple:
     return tuple(sorted((p - 1) % n + 1 for p in parts))
 
 
+def residues_merge_free(parts, n: int) -> bool:
+    """Whether no two distinct parts are congruent mod n.
+
+    Exactly then does canonical_residues keep the multiset shape, and so
+    the orbit-sum value at the order-n point.
+    """
+    distinct = set(parts)
+    return len({p % n for p in distinct}) == len(distinct)
+
+
 def multiplicities(parts) -> Counter:
     """Counter of how many times each part value occurs."""
     return Counter(parts)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import gcd
@@ -122,15 +121,6 @@ class ConjectureReport:
             "consistent_with_conjecture": self.consistent_with_conjecture,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
-
-
-def _run_sharded(fn, items, jobs):
-    """Apply fn over items, preserving order so parallelism never changes output."""
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _value(parts, n, k):
@@ -277,7 +267,7 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
     return VerificationReport("prop21", n, k, checked, failures, elapsed)
 
 
-def check_branching(n: int, k: int, l: int, jobs: int = 1, budget: int | None = None) -> VerificationReport:
+def check_branching(n: int, k: int, l: int, budget: int | None = None) -> VerificationReport:
     """Value at k+l versus the sum of split products over contained partitions."""
     if n < 1 or k < 1 or l < 1:
         raise ValueError("n, k and l must be positive")
@@ -286,9 +276,10 @@ def check_branching(n: int, k: int, l: int, jobs: int = 1, budget: int | None = 
     if family_size > cap:
         raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {cap}")
     t0 = time.perf_counter()
-    mus = list(enumerate_partitions(n, (k + l) * n))
-
-    def examine(mu):
+    failures = []
+    checked = 0
+    for mu in enumerate_partitions(n, (k + l) * n):
+        checked += 1
         direct = _value(mu, n, k + l)
         counts = Counter(mu)
         values = sorted(counts)
@@ -301,17 +292,13 @@ def check_branching(n: int, k: int, l: int, jobs: int = 1, budget: int | None = 
                 lam.extend([v] * take)
                 rest.extend([v] * (counts[v] - take))
             total += _value(lam, n, k) * _value(rest, n, l)
-        return mu, direct, total
-
-    failures = []
-    for mu, direct, total in _run_sharded(examine, mus, jobs):
         if direct != total:
             failures.append(Failure(f"mu={format_partition(mu)}", str(direct), str(total)))
     elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("branching", n, k, len(mus), failures, elapsed, l=l)
+    return VerificationReport("branching", n, k, checked, failures, elapsed, l=l)
 
 
-def check_thm11(n: int, k: int, jobs: int = 1) -> VerificationReport:
+def check_thm11(n: int, k: int) -> VerificationReport:
     """Prime nonvanishing equivalence, the two-block closed form, and the block reduction."""
     t0 = time.perf_counter()
     kn = k * n
@@ -319,12 +306,11 @@ def check_thm11(n: int, k: int, jobs: int = 1) -> VerificationReport:
     failures = []
 
     if k == 1 and is_prime(n):
-        def equivalence(lam):
-            return lam, _value(lam, n, 1) != 0, prime_nonvanishing(lam, n)
-
         cnt = 0
-        for lam, nonzero, want in _run_sharded(equivalence, enumerate_partitions(n, n), jobs):
+        for lam in enumerate_partitions(n, n):
             cnt += 1
+            nonzero = _value(lam, n, 1) != 0
+            want = prime_nonvanishing(lam, n)
             if nonzero != want:
                 failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
                                         f"nonzero={want}", f"nonzero={nonzero}"))
@@ -362,7 +348,7 @@ def check_thm11(n: int, k: int, jobs: int = 1) -> VerificationReport:
     return VerificationReport("thm11", n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
-def check_thm12(n: int, k: int, jobs: int = 1) -> VerificationReport:
+def check_thm12(n: int, k: int) -> VerificationReport:
     """Near-identity pattern values, vanishing off the residue class, unit scaling.
 
     Integrality is not a separate sweep: every evaluator readout already
@@ -395,26 +381,22 @@ def check_thm12(n: int, k: int, jobs: int = 1) -> VerificationReport:
 
     family_size = binomial(kn + n - 1, n - 1)
     if family_size <= EXHAUSTIVE_CAP:
-        def vanishing(lam):
-            return lam, _value(lam, n, k)
-
-        offs = [lam for lam in enumerate_partitions(n, kn) if sum(lam) % n]
         cnt = 0
-        for lam, val in _run_sharded(vanishing, offs, jobs):
+        for lam in enumerate_partitions(n, kn):
+            if sum(lam) % n == 0:
+                continue
             cnt += 1
+            val = _value(lam, n, k)
             if val != 0:
                 failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(val)))
         sections["vanishing_off_residue"] = cnt
 
         units = [l for l in range(2, n + 1) if gcd(l, n) == 1]
-
-        def scaling(lam):
-            base = _value(lam, n, k)
-            return lam, base, [(l, _value(scale_partition(lam, l, n), n, k)) for l in units]
-
         cnt = 0
-        for lam, base, scaled in _run_sharded(scaling, enumerate_partitions(n, kn), jobs):
-            for l, got in scaled:
+        for lam in enumerate_partitions(n, kn):
+            base = _value(lam, n, k)
+            for l in units:
+                got = _value(scale_partition(lam, l, n), n, k)
                 cnt += 1
                 if got != base:
                     failures.append(Failure(f"thm12_8 lambda={format_partition(lam)} l={l}",
@@ -425,7 +407,7 @@ def check_thm12(n: int, k: int, jobs: int = 1) -> VerificationReport:
     return VerificationReport("thm12", n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
-def check_thm32(n: int, k: int, budget: int | None = None, jobs: int = 1) -> VerificationReport:
+def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Expansion coefficients versus evaluator values, plus the determinant cross-checks."""
     t0 = time.perf_counter()
     sections = {}
@@ -458,28 +440,21 @@ def check_thm32(n: int, k: int, budget: int | None = None, jobs: int = 1) -> Ver
         if len(lams) != tilde:
             raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
         run_naive = k * n <= NAIVE_LENGTH_LIMIT
-
-        def compare(lam):
+        for lam in lams:
             inst = EvalInstance(lam, n, k)
             dp = msp_value_dp(inst)
-            naive = msp_value_naive(inst) if run_naive else None
-            return lam, expansion.coefficient(exponent_key(lam, n)), dp, naive
-
-        cnt = 0
-        naive_cnt = 0
-        for lam, coeff, dp, naive in _run_sharded(compare, lams, jobs):
-            cnt += 1
+            coeff = expansion.coefficient(exponent_key(lam, n))
             if dp != coeff:
                 failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
                                         str(coeff), str(dp)))
-            if naive is not None:
-                naive_cnt += 1
+            if run_naive:
+                naive = msp_value_naive(inst)
                 if naive != dp:
                     failures.append(Failure(f"thm32_naive lambda={format_partition(lam)}",
                                             str(dp), str(naive)))
-        sections["coefficient_agreement"] = cnt
+        sections["coefficient_agreement"] = len(lams)
         if run_naive:
-            sections["naive_agreement"] = naive_cnt
+            sections["naive_agreement"] = len(lams)
 
     if k == 1 and is_prime(n):
         tc = count_terms(n, 1, budget)
@@ -502,10 +477,10 @@ def check_thm32(n: int, k: int, budget: int | None = None, jobs: int = 1) -> Ver
     return VerificationReport("thm32", n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
-def check_theorems(n: int, k: int, budget: int | None = None, jobs: int = 1) -> VerificationReport:
+def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Every applicable theorem suite in one report, sections prefixed per suite."""
     t0 = time.perf_counter()
-    reports = [check_thm11(n, k, jobs), check_thm12(n, k, jobs), check_thm32(n, k, budget, jobs)]
+    reports = [check_thm11(n, k), check_thm12(n, k), check_thm32(n, k, budget)]
     sections = {}
     failures = []
     total = 0
@@ -518,31 +493,39 @@ def check_theorems(n: int, k: int, budget: int | None = None, jobs: int = 1) -> 
     return VerificationReport("theorems", n, k, total, failures, elapsed, sections=sections)
 
 
-def explore_conjecture(n: int, k: int, budget: int | None = None, jobs: int = 1) -> ConjectureReport:
+def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureReport:
     """Classify the divisible-sum index set by zero or nonzero coefficient.
 
-    Produces evidence for the open question of which (n, k) leave no
-    coefficient zero; nothing conjectural is asserted. The one hard
+    Produces evidence for the open question of which orders n >= 2 leave
+    no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
-    coefficient is impossible.
+    coefficient is impossible. The route, the full expansion or the DP
+    under `budget`, is chosen and its budget checked before any
+    partition is enumerated; partitions are then streamed.
     """
+    if n < 2 or k < 1:
+        raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
     t0 = time.perf_counter()
     total = lambda_tilde_size(n, k)
-    lams = [lam for lam in enumerate_partitions(n, k * n) if sum(lam) % n == 0]
-    if len(lams) != total:
-        raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {total}")
-    bound = binomial(k * n + n - 1, n - 1)
-    cap = budget if budget is not None else None
-    if cap is None or bound <= cap:
-        expansion = dedekind_expand(n, k, cap)
+    if budget is None or binomial(k * n + n - 1, n - 1) <= budget:
+        expansion = dedekind_expand(n, k, budget)
 
         def value(lam):
-            return lam, expansion.coefficient(exponent_key(lam, n))
+            return expansion.coefficient(exponent_key(lam, n))
     else:
         def value(lam):
-            return lam, msp_value_dp(EvalInstance(lam, n, k), budget=cap)
+            return msp_value_dp(EvalInstance(lam, n, k), budget=budget)
 
-    zeros = [lam for lam, v in _run_sharded(value, lams, jobs) if v == 0]
+    zeros = []
+    seen = 0
+    for lam in enumerate_partitions(n, k * n):
+        if sum(lam) % n:
+            continue
+        seen += 1
+        if value(lam) == 0:
+            zeros.append(lam)
+    if seen != total:
+        raise TheoremViolation(f"enumeration found {seen} partitions, formula says {total}")
     if k == 1 and is_prime(n) and zeros:
         raise TheoremViolation(
             f"zero coefficient at prime n={n}, k=1: lambda={format_partition(zeros[0])}")

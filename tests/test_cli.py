@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from msproots.cli import main
 
 
@@ -27,6 +29,37 @@ def test_eval_accepts_any_order_and_canonicalizes():
     payload = json.loads(out)
     assert payload["lambda"] == "1,2,3" and payload["value"] == -3
     assert "canonicalized" in err
+
+
+def test_eval_keeps_parts_whose_residues_merge():
+    # 1 and 4 are distinct but congruent mod 3: residues would evaluate 1,1,1
+    for method in ("dp", "naive", "auto"):
+        code, out, err = run_cli(["eval", "--n", "3", "--lambda", "1,4,4", "--method", method])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["lambda"] == "1,4,4" and payload["value"] == 3
+        assert payload["method_used"] == ("dp" if method == "auto" else method)
+    code, _, err = run_cli(["eval", "--n", "3", "--lambda", "1,4,4", "--method", "closed"])
+    assert code == 2 and "closed" in err
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (["eval", "--n", "0", "--lambda", "1"], None, "--n"),
+    (["eval", "--n", "-3", "--lambda", "1,2,3"], None, "--n"),
+    (["expand", "--n", "3", "--k", "0"], None, "--k"),
+    (["verify", "--suite", "branching", "--n", "2", "--l", "0"], None, "--l"),
+    (["expand", "--n", "3", "--budget", "0"], None, "--budget"),
+    (["expand", "--n", "3", "--budget", "-5"], None, "--budget"),
+    (["count", "--n", "3", "--budget", "x"], None, "--budget"),
+    (["expand", "--n", "3"], "0", "MSPROOTS_BUDGET"),
+    (["expand", "--n", "3"], "-5", "MSPROOTS_BUDGET"),
+])
+def test_nonpositive_sizes_rejected(monkeypatch, argv, env, flag):
+    if env is not None:
+        monkeypatch.setenv("MSPROOTS_BUDGET", env)
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert flag in err and "positive integer" in err
 
 
 def test_eval_methods_agree():
@@ -129,24 +162,16 @@ def test_verify_all_emits_array_and_skips_over_budget(capsys=None):
     assert "skipping prop21" in err
 
 
-def test_verify_output_stable_across_jobs():
-    def normalized(argv):
-        code, out, _ = run_cli(argv)
-        assert code == 0
-        payload = json.loads(out)
-        payload.pop("elapsed_ms")
-        return payload
-
-    base = ["verify", "--suite", "thm12", "--n", "4", "--k", "1"]
-    assert normalized(base + ["--jobs", "1"]) == normalized(base + ["--jobs", "4"])
-
-
 def test_conjecture_command():
     code, out, _ = run_cli(["conjecture", "--n", "6", "--k", "1"])
     assert code == 0
     payload = json.loads(out)
     assert payload["total"] == 80 and len(payload["zero_coefficients"]) == 12
     assert payload["is_prime_power"] is False and payload["consistent_with_conjecture"] is True
+    code, out, err = run_cli(["conjecture", "--n", "1"])
+    assert code == 2 and out == "" and "n >= 2" in err
+    code, out, err = run_cli(["conjecture", "--n", "10", "--k", "2"])
+    assert code == 3 and out == "" and "budget" in err
 
 
 def test_eval_methods_agree_across_family():
@@ -163,7 +188,7 @@ def test_verify_failures_exit_one(monkeypatch):
     from msproots import cli
     from msproots.verify import Failure, VerificationReport
 
-    def broken(n, k, jobs=1):
+    def broken(n, k):
         return VerificationReport("thm11", n, k, 1,
                                   [Failure("lambda=1,1", "0", "1")], 0.0)
 

@@ -1,0 +1,24 @@
+"""The package against sympy, an oracle it did not write."""
+import pytest
+
+from msproots.cyclotomic import cyclotomic_poly
+from msproots.groupdet import dedekind_expand, leibniz_determinant
+
+sympy = pytest.importorskip("sympy")
+
+
+def test_cyclotomic_poly_matches_sympy():
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic_poly(n).coeffs) == want, n
+
+
+def test_circulant_determinant_matches_sympy():
+    for n in range(1, 6):
+        xs = sympy.symbols(f"x1:{n + 1}")
+        # entry (i, s) is x_r with r the representative of i - s mod n in 1..n
+        matrix = sympy.Matrix(n, n, lambda i, s: xs[(i - s - 1) % n])
+        want = sympy.Poly(matrix.det(), *xs).as_dict()
+        assert dict(leibniz_determinant(n).items()) == want, n
+        assert dict(dedekind_expand(n, 1).items()) == want, n

@@ -104,15 +104,13 @@ def test_report_json_schema():
     assert json.loads(text) == d
 
 
-def test_reports_deterministic_and_jobs_invariant():
+def test_reports_deterministic():
     def strip(rep):
         d = rep.to_dict()
         d.pop("elapsed_ms")
         return d
 
     assert strip(check_thm12(3, 1)) == strip(check_thm12(3, 1))
-    assert strip(check_thm12(4, 1, jobs=1)) == strip(check_thm12(4, 1, jobs=3))
-    assert strip(check_branching(3, 1, 1, jobs=1)) == strip(check_branching(3, 1, 1, jobs=2))
 
 
 def test_explore_conjecture_prime_cases():
@@ -137,6 +135,31 @@ def test_explore_conjecture_composite_case():
     assert len(rep.zero_coefficients) == 12
     assert not rep.is_prime_power and rep.consistent_with_conjecture
     assert all(sum(lam) % 6 == 0 for lam in rep.zero_coefficients)
+
+
+def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
+    from msproots import verify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("partitions enumerated before the budget check")
+
+    monkeypatch.setattr(verify, "enumerate_partitions", boom)
+    with pytest.raises(BudgetExceeded):
+        explore_conjecture(10, 2)
+
+
+def test_explore_conjecture_rejects_trivial_order():
+    with pytest.raises(ValueError):
+        explore_conjecture(1, 1)
+    with pytest.raises(ValueError):
+        explore_conjecture(1, 3)
+
+
+def test_explore_conjecture_dp_route_matches_expansion():
+    by_dp = explore_conjecture(6, 1, budget=100)  # under the 462-monomial bound
+    by_expansion = explore_conjecture(6, 1)
+    assert by_dp.zero_coefficients == by_expansion.zero_coefficients
+    assert by_dp.total == by_expansion.total == 80
 
 
 def test_conjecture_report_dict():
