@@ -9,7 +9,6 @@ verification suites for the identities tying all of it together.
 from .cyclotomic import (
     CyclotomicInt,
     IntegralityViolation,
-    IntPolynomial,
     cyclotomic_poly,
     root_power,
 )

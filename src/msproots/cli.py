@@ -147,7 +147,7 @@ def _print_reports(reports, fmt, single):
         if fmt == "tsv":
             print(f"{rep.suite}\t{rep.n}\t{rep.k}\t{rep.instances_checked}\t{len(rep.failures)}")
         else:
-            state = "PASS" if rep.passed else "FAIL"
+            state = "SKIP" if rep.skipped else "PASS" if rep.passed else "FAIL"
             print(f"{rep.suite} n={rep.n} k={rep.k}: {rep.instances_checked} instances, "
                   f"{len(rep.failures)} failures [{state}]")
             for f in rep.failures:

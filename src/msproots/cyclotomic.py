@@ -22,102 +22,45 @@ class IntegralityViolation(ArithmeticError):
     """A value that was required to be a rational integer is not one."""
 
 
-class IntPolynomial:
-    """Dense univariate polynomial with exact integer coefficients.
+def _divmod_monic(num, den):
+    """Quotient and remainder of num by the monic den, exactly over the integers.
 
-    Index i of ``coeffs`` holds the coefficient of x^i; the sequence is
-    normalized so its last entry is nonzero (the zero polynomial stores
-    an empty tuple).
+    Both are coefficient tuples where index i holds x^i, and den ends in 1.
+    The remainder always has len(den) - 1 entries.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __divmod__(self, other):
-        """Long division by a monic divisor; stays in integer arithmetic."""
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if not other.is_monic():
-            raise ValueError("divisor must be monic for exact integer division")
-        db = other.degree
-        if self.degree < db:
-            return IntPolynomial(), self
-        rem = list(self.coeffs)
-        quot = [0] * (self.degree - db + 1)
-        for i in range(self.degree, db - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - db] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] -= c * b
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+    db = len(den) - 1
+    low = [(j, b) for j, b in enumerate(den[:db]) if b]
+    rem = list(num) + [0] * (db - len(num))
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - db] = c
+            for j, b in low:
+                rem[i - db + j] -= c * b
+    return tuple(quot), tuple(rem[:db])
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, monic of degree phi(n).
+def cyclotomic_poly(n: int) -> tuple:
+    """The n-th cyclotomic polynomial as a coefficient tuple, monic of degree phi(n).
 
-    Computed by exact division of x^n - 1 by the product of the
-    polynomials at all proper divisors of n, memoized per process (the
-    cache is safe for concurrent read/insert). A nonzero remainder can
-    only come from broken arithmetic and aborts loudly.
+    x^n - 1 is divided in turn by the polynomial at each proper divisor
+    of n, memoized per process. A nonzero remainder can only come from
+    broken arithmetic and aborts loudly.
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
-    if n == 1:
-        return IntPolynomial((-1, 1))
-    den = IntPolynomial((1,))
+    poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in divisors(n)[:-1]:
-        den = den * cyclotomic_poly(d)
-    quo, rem = divmod(IntPolynomial([-1] + [0] * (n - 1) + [1]), den)
-    if not rem.is_zero():
-        raise AssertionError(f"cyclotomic division left a remainder at n={n}; arithmetic is broken")
-    return quo
+        poly, rem = _divmod_monic(poly, cyclotomic_poly(d))
+        if any(rem):
+            raise AssertionError(f"cyclotomic division left a remainder at n={n}; arithmetic is broken")
+    return poly
 
 
 class CyclotomicInt:
-    """An element of Z[zeta_n], immutable and safe to share across threads.
+    """An element of Z[zeta_n], immutable.
 
     ``coeffs[j]`` multiplies zeta_n^j in the working representation
     Z[x]/(x^n - 1). Mixed arithmetic with plain ints is supported; two
@@ -208,9 +151,7 @@ class CyclotomicInt:
         cyclotomic polynomial, zero-padded to length phi(n).
         """
         if self._canonical is None:
-            phi_poly = cyclotomic_poly(self.order)
-            rem = IntPolynomial(self.coeffs) % phi_poly
-            self._canonical = rem.coeffs + (0,) * (phi_poly.degree - len(rem.coeffs))
+            self._canonical = _divmod_monic(self.coeffs, cyclotomic_poly(self.order))[1]
         return self._canonical
 
     def is_zero(self) -> bool:

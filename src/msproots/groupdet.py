@@ -13,10 +13,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicInt, shift_add_walk
-from .msp import BudgetExceeded, EvalInstance, msp_value_dp
+from .msp import DEFAULT_BUDGET, BudgetExceeded, EvalInstance, msp_value_dp
 from .partitions import binomial, format_partition, is_prime, lambda_tilde_size
 
-DEFAULT_MONOMIAL_BUDGET = 10_000_000
 LEIBNIZ_LIMIT = 8
 
 
@@ -164,7 +163,7 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     if cached is not None:
         return cached
     if budget is None:
-        budget = DEFAULT_MONOMIAL_BUDGET
+        budget = DEFAULT_BUDGET
     bound = binomial(k * n + n - 1, n - 1)
     if bound > budget:
         raise BudgetExceeded(f"expansion may reach {bound} monomials, over the budget of {budget}")

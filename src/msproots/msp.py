@@ -23,7 +23,7 @@ from math import gcd, prod
 from .cyclotomic import CyclotomicInt, IntegralityViolation, shift_add_walk  # noqa: F401  (re-export)
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
-DEFAULT_STATE_BUDGET = 10_000_000
+DEFAULT_BUDGET = 10_000_000  # the most DP states or monomials one computation may hold
 NAIVE_LENGTH_LIMIT = 9
 
 
@@ -52,7 +52,7 @@ class EvalInstance:
         object.__setattr__(self, "parts", parts)
 
 
-def msp_value_naive(inst: EvalInstance, limit: int = NAIVE_LENGTH_LIMIT) -> int:
+def msp_value_naive(inst: EvalInstance) -> int:
     """Reference evaluator: sum over all distinct rearrangements of the parts.
 
     Walks the tree of multiset permutations directly (each distinct
@@ -62,8 +62,8 @@ def msp_value_naive(inst: EvalInstance, limit: int = NAIVE_LENGTH_LIMIT) -> int:
     """
     n = inst.n
     length = len(inst.parts)
-    if length > limit:
-        raise BudgetExceeded(f"naive evaluation is limited to {limit} parts, got {length}")
+    if length > NAIVE_LENGTH_LIMIT:
+        raise BudgetExceeded(f"naive evaluation is limited to {NAIVE_LENGTH_LIMIT} parts, got {length}")
     counts = [0] * n
     values = sorted(set(inst.parts))
     remaining = [inst.parts.count(v) for v in values]
@@ -95,7 +95,7 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     the budget (override via the `budget` argument).
     """
     if budget is None:
-        budget = DEFAULT_STATE_BUDGET
+        budget = DEFAULT_BUDGET
     values = tuple(sorted(set(inst.parts)))
     mults = tuple(inst.parts.count(v) for v in values)
     states = prod(m + 1 for m in mults)
@@ -213,8 +213,8 @@ def elementary_symmetric(r: int, points, one=1):
     """e_r of the given points, over any commutative ring.
 
     Sequential update: after consuming x the table entry e_j becomes
-    e_j + e_(j-1) * x. Points and `one` only need + and *; plain ints,
-    cyclotomic integers, and sparse polynomials all work. e_0 is one and
+    e_j + e_(j-1) * x. Points and `one` only need + and *; plain ints
+    and cyclotomic integers both work. e_0 is one and
     e_r vanishes beyond the number of points.
     """
     if r < 0:

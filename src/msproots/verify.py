@@ -13,12 +13,14 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from math import gcd
+from functools import reduce
+from itertools import combinations, permutations, product
+from math import gcd, prod
 
 from .cyclotomic import CyclotomicInt
 from .groupdet import (
     LEIBNIZ_LIMIT,
+    MonomialMap,
     count_terms,
     dedekind_expand,
     exponent_key,
@@ -27,11 +29,11 @@ from .groupdet import (
     prime_term_count,
 )
 from .msp import (
+    DEFAULT_BUDGET,
     NAIVE_LENGTH_LIMIT,
     BudgetExceeded,
     EvalInstance,
     closed_form_two_blocks,
-    e_product,
     mansfield_coefficient,
     msp_value_dp,
     msp_value_naive,
@@ -85,6 +87,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def skipped(self) -> bool:
+        """Nothing was checked, so passing shows nothing."""
+        return self.instances_checked == 0 and not self.failures
+
     def to_dict(self):
         out = {
             "suite": self.suite,
@@ -94,6 +101,8 @@ class VerificationReport:
             "failures": [f.to_dict() for f in self.failures],
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+        if self.skipped:
+            out["skipped"] = True
         if self.l is not None:
             out["l"] = self.l
         if self.sections:
@@ -177,76 +186,25 @@ def check_lemma_2_4_sweep(n: int, samples: int = 50, seed: int = 0) -> Verificat
     return VerificationReport("lemma24", n, 1, checked, failures, elapsed)
 
 
-class _Poly:
-    """Minimal sparse integer polynomial in a fixed number of variables."""
-
-    __slots__ = ("n_vars", "terms")
-
-    def __init__(self, n_vars, terms=None):
-        self.n_vars = n_vars
-        self.terms = {tuple(k): v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def one(cls, n_vars):
-        return cls(n_vars, {(0,) * n_vars: 1})
-
-    @classmethod
-    def variable(cls, n_vars, i):
-        key = [0] * n_vars
-        key[i] = 1
-        return cls(n_vars, {tuple(key): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return _Poly(self.n_vars, out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Poly(self.n_vars, {k: v * other for k, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + v1 * v2
-        return _Poly(self.n_vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        result = _Poly.one(self.n_vars)
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, _Poly) and self.n_vars == other.n_vars and self.terms == other.terms
-
-    __hash__ = None
-
-
 def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Expand both sides of the generating identity and compare term by term.
 
-    Left side: the product over variables of (1 - x_i^n)^k. Right side:
-    the sum over zero-padded partitions with part sum divisible by n of
-    (-1)^|lambda| e_lambda(x) times the evaluated orbit sum.
+    Left side: the product over variables of (1 - x_i^n)^k, multiplied
+    out by the binomial theorem. Right side: the sum over zero-padded
+    partitions with part sum divisible by n of (-1)^|lambda| e_lambda(x)
+    times the evaluated orbit sum. Each side is a dict keyed by exponent
+    vector.
     """
     cap = budget if budget is not None else PROP21_CAP
     padded = binomial(k * n + n, n)
     if padded > cap:
         raise BudgetExceeded(f"{padded} zero-padded partitions exceed the cap of {cap}")
     t0 = time.perf_counter()
-    one = _Poly.one(n)
-    xs = [_Poly.variable(n, i) for i in range(n)]
-    lhs = one
-    for x in xs:
-        lhs = lhs * (one - x ** n) ** k
-    rhs = _Poly(n)
+    lhs = {tuple(n * e for e in a): (-1) ** sum(a) * prod(binomial(k, e) for e in a)
+           for a in product(range(k + 1), repeat=n)}
+    es = [MonomialMap(n, r, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), r)})
+          for r in range(n + 1)]
+    rhs = {}
     checked = 0
     for lam in enumerate_partitions(n, k * n, allow_zero=True):
         if sum(lam) % n:
@@ -255,12 +213,12 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
         value = _value(lam, n, k)
         if value == 0:
             continue
-        sign = -1 if sum(lam) % 2 else 1
-        rhs = rhs + e_product(lam, xs, one=one) * (sign * value)
+        signed = (-1) ** sum(lam) * value
+        for key, c in reduce(MonomialMap.__mul__, (es[p] for p in lam), es[0]).items():
+            rhs[key] = rhs.get(key, 0) + signed * c
     failures = []
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        a = lhs.terms.get(key, 0)
-        b = rhs.terms.get(key, 0)
+    for key in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(key, 0), rhs.get(key, 0)
         if a != b:
             failures.append(Failure(f"monomial exponents={','.join(map(str, key))}", str(a), str(b)))
     elapsed = (time.perf_counter() - t0) * 1000
@@ -499,23 +457,29 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     Produces evidence for the open question of which orders n >= 2 leave
     no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
-    coefficient is impossible. The route, the full expansion or the DP
-    under `budget`, is chosen and its budget checked before any
-    partition is enumerated; partitions are then streamed.
+    coefficient is impossible. `budget` caps the monomials or DP states
+    one computation holds: the expansion is used if its bound fits, else
+    the DP, whose states never exceed (k+1)^n (AM-GM); if neither fits,
+    BudgetExceeded is raised before any partition is enumerated.
     """
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
+    budget = budget if budget is not None else DEFAULT_BUDGET
+    monomials = binomial(k * n + n - 1, n - 1)
+    states = (k + 1) ** n
     t0 = time.perf_counter()
-    total = lambda_tilde_size(n, k)
-    if budget is None or binomial(k * n + n - 1, n - 1) <= budget:
+    if monomials <= budget:
         expansion = dedekind_expand(n, k, budget)
 
         def value(lam):
             return expansion.coefficient(exponent_key(lam, n))
-    else:
+    elif states <= budget:
         def value(lam):
             return msp_value_dp(EvalInstance(lam, n, k), budget=budget)
-
+    else:
+        raise BudgetExceeded(f"the expansion may reach {monomials} monomials and the DP {states} states, "
+                             f"both over the budget of {budget}")
+    total = lambda_tilde_size(n, k)
     zeros = []
     seen = 0
     for lam in enumerate_partitions(n, k * n):

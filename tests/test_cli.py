@@ -162,6 +162,18 @@ def test_verify_all_emits_array_and_skips_over_budget(capsys=None):
     assert "skipping prop21" in err
 
 
+def test_verify_empty_sweep_is_skipped():
+    code, out, _ = run_cli(["verify", "--suite", "all", "--n", "1", "--format", "plain"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "thm11 n=1 k=1: 0 instances, 0 failures [SKIP]"
+    assert lines[1] == "thm12 n=1 k=1: 0 instances, 0 failures [SKIP]"
+    assert all(line.endswith("[PASS]") for line in lines[2:])
+    code, out, _ = run_cli(["verify", "--suite", "all", "--n", "1"])
+    assert code == 0
+    assert [r.get("skipped", False) for r in json.loads(out)] == [True, True] + [False] * 4
+
+
 def test_conjecture_command():
     code, out, _ = run_cli(["conjecture", "--n", "6", "--k", "1"])
     assert code == 0
@@ -170,7 +182,7 @@ def test_conjecture_command():
     assert payload["is_prime_power"] is False and payload["consistent_with_conjecture"] is True
     code, out, err = run_cli(["conjecture", "--n", "1"])
     assert code == 2 and out == "" and "n >= 2" in err
-    code, out, err = run_cli(["conjecture", "--n", "10", "--k", "2"])
+    code, out, err = run_cli(["conjecture", "--n", "24"])  # 2^24 DP states, over the default budget
     assert code == 3 and out == "" and "budget" in err
 
 

@@ -6,15 +6,19 @@ import pytest
 from msproots.cyclotomic import (
     CyclotomicInt,
     IntegralityViolation,
-    IntPolynomial,
     cyclotomic_poly,
     root_power,
 )
 from msproots.partitions import euler_phi, gcd
 
 
-def x_pow_minus_one(n):
-    return IntPolynomial([-1] + [0] * (n - 1) + [1])
+def poly_mul(a, b):
+    """Product of two coefficient tuples, index i holding x^i."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def to_complex(value):
@@ -24,39 +28,32 @@ def to_complex(value):
 
 
 def test_cyclotomic_poly_small_orders():
-    assert cyclotomic_poly(1) == IntPolynomial((-1, 1))
-    assert cyclotomic_poly(2) == IntPolynomial((1, 1))
-    # x^6 - 1 divided by phi_1 * phi_2 * phi_3, frozen: x^2 - x + 1
-    assert cyclotomic_poly(6) == IntPolynomial((1, -1, 1))
-    assert cyclotomic_poly(4) == IntPolynomial((1, 0, 1))
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    # x^6 - 1 divided by phi_1, phi_2 and phi_3, frozen: x^2 - x + 1
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert cyclotomic_poly(4) == (1, 0, 1)
 
 
 def test_cyclotomic_poly_product_recovers_x_n_minus_one():
     for n in range(1, 31):
-        prod = IntPolynomial((1,))
+        prod = (1,)
         d = 1
         while d <= n:
             if n % d == 0:
-                prod = prod * cyclotomic_poly(d)
+                prod = poly_mul(prod, cyclotomic_poly(d))
             d += 1
-        assert prod == x_pow_minus_one(n), n
+        assert prod == (-1,) + (0,) * (n - 1) + (1,), n
 
 
 def test_cyclotomic_poly_degree_is_totient():
     for n in range(1, 31):
-        assert cyclotomic_poly(n).degree == euler_phi(n), n
+        assert len(cyclotomic_poly(n)) - 1 == euler_phi(n), n
 
 
 def test_cyclotomic_poly_rejects_nonpositive():
     with pytest.raises(ValueError):
         cyclotomic_poly(0)
-
-
-def test_polynomial_division_requires_monic():
-    with pytest.raises(ValueError):
-        divmod(x_pow_minus_one(3), IntPolynomial((1, 2)))
-    with pytest.raises(ZeroDivisionError):
-        divmod(x_pow_minus_one(3), IntPolynomial())
 
 
 def test_root_power_basics():

@@ -31,6 +31,9 @@ RUNS = (
     + [["verify", "--suite", "all", "--n", "4"],
        ["verify", "--suite", "all", "--n", "4", "--format", "plain"],
        ["verify", "--suite", "branching", "--n", "2", "--k", "1", "--l", "2"],
+       ["verify", "--suite", "prop21", "--n", "3", "--k", "2"],
+       ["verify", "--suite", "prop21", "--n", "2", "--k", "3"],
+       ["verify", "--suite", "lemma24", "--n", "4", "--lambda", "1,2,2,3"],
        ["conjecture", "--n", "6", "--format", "plain"]]
 )
 
@@ -81,6 +84,9 @@ GOLDEN = {
     "verify --suite all --n 4": "5f2a78f62cd324d965dc52b9225ec76c5e1c6e91960f9da45c31f58f164ea808",
     "verify --suite all --n 4 --format plain": "94c299837c65011b73f9134baf326195d9a2554cf71741048a37f7883278f8eb",
     "verify --suite branching --n 2 --k 1 --l 2": "691e9f5ec1feef43d7f6c5ac68931855c69caa20a1dcd0e5362658ae973c23e6",
+    "verify --suite prop21 --n 3 --k 2": "d01301b3c9e69c88cab6f345fec4f495aeffa24e0d828659d80307d730be08af",
+    "verify --suite prop21 --n 2 --k 3": "6e505eb8462f8c8d56abe1bd1c8436c449ad35ffb0af1376626b0f10650565c7",
+    "verify --suite lemma24 --n 4 --lambda 1,2,2,3": "4d8fa41e3c3f45d376ea6b3a05c2b838128e93c8cb7278fb5ae25a1291afa74f",
     "conjecture --n 6 --format plain": "1255169564e247c24c7e5a86e2f158e1658954ce937d8e73aebee5ac28bac327",
 }
 

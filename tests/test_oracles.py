@@ -1,7 +1,9 @@
 """The package against sympy, an oracle it did not write."""
+import random
+
 import pytest
 
-from msproots.cyclotomic import cyclotomic_poly
+from msproots.cyclotomic import CyclotomicInt, cyclotomic_poly
 from msproots.groupdet import dedekind_expand, leibniz_determinant
 
 sympy = pytest.importorskip("sympy")
@@ -11,7 +13,19 @@ def test_cyclotomic_poly_matches_sympy():
     x = sympy.Symbol("x")
     for n in range(1, 61):
         want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
-        assert list(cyclotomic_poly(n).coeffs) == want, n
+        assert list(cyclotomic_poly(n)) == want, n
+
+
+def test_canonical_form_matches_sympy_remainder():
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for n in range(1, 31):
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        for _ in range(5):
+            vec = [rng.randrange(-50, 51) for _ in range(n)]
+            rem = sympy.rem(sympy.Poly(vec[::-1], x), phi).all_coeffs()[::-1]
+            want = tuple(rem) + (0,) * (phi.degree() - len(rem))
+            assert CyclotomicInt(n, vec).canonical_form() == want, (n, vec)
 
 
 def test_circulant_determinant_matches_sympy():

@@ -44,6 +44,22 @@ def test_prop21_small_cases():
         assert rep.passed, (n, k, rep.failures[:2])
 
 
+def test_prop21_reports_a_perturbed_value(monkeypatch):
+    from msproots import verify
+
+    honest = verify._value
+    # one lambda per (n, k) whose part sum is divisible by n
+    for n, k, target in [(3, 1, (1, 2, 3)), (3, 2, (0, 0, 1, 1, 2, 2)), (2, 3, (0, 1, 1, 2, 2, 2))]:
+        def off_by_one(parts, n, k, target=target):
+            value = honest(parts, n, k)
+            return value + 1 if tuple(sorted(parts)) == target else value
+
+        monkeypatch.setattr(verify, "_value", off_by_one)
+        rep = check_prop_2_1(n, k)
+        assert not rep.passed, (n, k)
+        assert all(f.instance.startswith("monomial exponents=") for f in rep.failures)
+
+
 def test_prop21_budget():
     with pytest.raises(BudgetExceeded):
         check_prop_2_1(5, 2)
@@ -104,6 +120,14 @@ def test_report_json_schema():
     assert json.loads(text) == d
 
 
+def test_empty_report_is_skipped():
+    rep = check_thm11(1, 1)
+    assert rep.instances_checked == 0 and rep.skipped and rep.passed
+    assert rep.to_dict()["skipped"] is True
+    full = check_thm11(3, 1)
+    assert not full.skipped and "skipped" not in full.to_dict()
+
+
 def test_reports_deterministic():
     def strip(rep):
         d = rep.to_dict()
@@ -145,7 +169,9 @@ def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_partitions", boom)
     with pytest.raises(BudgetExceeded):
-        explore_conjecture(10, 2)
+        explore_conjecture(6, 1, budget=10)  # 462 monomials and 2^6 = 64 DP states
+    with pytest.raises(BudgetExceeded):
+        explore_conjecture(24, 1)  # 2^24 DP states exceed the default budget
 
 
 def test_explore_conjecture_rejects_trivial_order():
@@ -155,8 +181,12 @@ def test_explore_conjecture_rejects_trivial_order():
         explore_conjecture(1, 3)
 
 
-def test_explore_conjecture_dp_route_matches_expansion():
-    by_dp = explore_conjecture(6, 1, budget=100)  # under the 462-monomial bound
+def test_explore_conjecture_dp_route_matches_expansion(monkeypatch):
+    from msproots import verify
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "dedekind_expand", None)  # the DP route must not expand
+        by_dp = explore_conjecture(6, 1, budget=100)  # under the 462-monomial bound
     by_expansion = explore_conjecture(6, 1)
     assert by_dp.zero_coefficients == by_expansion.zero_coefficients
     assert by_dp.total == by_expansion.total == 80
