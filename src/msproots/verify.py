@@ -55,6 +55,7 @@ from .partitions import (
 EXHAUSTIVE_CAP = 2500
 COEFFICIENT_SWEEP_CAP = 650
 PROP21_CAP = 200
+CONJECTURE_DP_CAP = 100_000  # partitions the conjecture's DP route walks one at a time
 LEMMA_PERMUTATION_LIMIT = 7
 
 
@@ -214,7 +215,7 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
         if value == 0:
             continue
         signed = (-1) ** sum(lam) * value
-        for key, c in reduce(MonomialMap.__mul__, (es[p] for p in lam), es[0]).items():
+        for key, c in reduce(MonomialMap.__mul__, (es[p] for p in lam if p), es[0]).items():
             rhs[key] = rhs.get(key, 0) + signed * c
     failures = []
     for key in sorted(set(lhs) | set(rhs)):
@@ -458,9 +459,9 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
     coefficient is impossible. `budget` caps the monomials or DP states
-    one computation holds: the expansion is used if its bound fits, else
-    the DP, whose states never exceed (k+1)^n (AM-GM); if neither fits,
-    BudgetExceeded is raised before any partition is enumerated.
+    one computation holds: the expansion if its bound fits, else the DP
+    (states <= (k+1)^n by AM-GM) if its partitions fit CONJECTURE_DP_CAP,
+    else BudgetExceeded before any partition is enumerated.
     """
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
@@ -473,12 +474,12 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
 
         def value(lam):
             return expansion.coefficient(exponent_key(lam, n))
-    elif states <= budget:
+    elif states <= budget and monomials <= CONJECTURE_DP_CAP:
         def value(lam):
             return msp_value_dp(EvalInstance(lam, n, k), budget=budget)
     else:
-        raise BudgetExceeded(f"the expansion may reach {monomials} monomials and the DP {states} states, "
-                             f"both over the budget of {budget}")
+        raise BudgetExceeded(f"the expansion may hold {monomials} monomials (budget {budget}); the DP up to {states} "
+                             f"states (budget {budget}) on each of those partitions (cap {CONJECTURE_DP_CAP})")
     total = lambda_tilde_size(n, k)
     zeros = []
     seen = 0

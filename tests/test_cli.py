@@ -182,6 +182,8 @@ def test_conjecture_command():
     assert payload["is_prime_power"] is False and payload["consistent_with_conjecture"] is True
     code, out, err = run_cli(["conjecture", "--n", "1"])
     assert code == 2 and out == "" and "n >= 2" in err
+    code, out, err = run_cli(["conjecture", "--n", "10", "--k", "2"])
+    assert code == 3 and out == "" and "budget" in err
     code, out, err = run_cli(["conjecture", "--n", "24"])  # 2^24 DP states, over the default budget
     assert code == 3 and out == "" and "budget" in err
 

@@ -169,9 +169,14 @@ def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_partitions", boom)
     with pytest.raises(BudgetExceeded):
+        explore_conjecture(10, 2)  # binom(29, 9) monomials and partitions, over the budget and the DP cap
+    with pytest.raises(BudgetExceeded):
         explore_conjecture(6, 1, budget=10)  # 462 monomials and 2^6 = 64 DP states
     with pytest.raises(BudgetExceeded):
         explore_conjecture(24, 1)  # 2^24 DP states exceed the default budget
+    monkeypatch.setattr(verify, "CONJECTURE_DP_CAP", 461)
+    with pytest.raises(BudgetExceeded):
+        explore_conjecture(6, 1, budget=100)  # the DP states fit, the 462 partitions do not
 
 
 def test_explore_conjecture_rejects_trivial_order():
