@@ -65,4 +65,20 @@ from .verify import (
     explore_conjecture,
 )
 
+from . import cyclotomic, groupdet, msp
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps for the life of the process.
+
+    These are the DP values (`msp._dp_value`), the finished expansions
+    (`groupdet._expansions`), the cyclotomic polynomials and the readout
+    tables built from them; all are unbounded, and a long session can
+    call this to give their memory back.
+    """
+    msp._dp_value.cache_clear()
+    groupdet._expansions.clear()
+    cyclotomic.cyclotomic_poly.cache_clear()
+    cyclotomic._reduction_rows.cache_clear()

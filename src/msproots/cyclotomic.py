@@ -14,6 +14,7 @@ path anywhere in this module.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .partitions import divisors
 
@@ -57,6 +58,24 @@ def cyclotomic_poly(n: int) -> tuple:
         if any(rem):
             raise AssertionError(f"cyclotomic division left a remainder at n={n}; arithmetic is broken")
     return poly
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple:
+    """x^e mod the n-th cyclotomic polynomial for e = phi(n)..n-1.
+
+    Each row lists the nonzero (index, coefficient) pairs of one
+    remainder on the power basis, so reducing a working vector is its
+    first phi(n) coefficients plus a sparse combination of these rows.
+    Memoized per process.
+    """
+    poly = cyclotomic_poly(n)
+    phi = len(poly) - 1
+    rows = []
+    for e in range(phi, n):
+        rem = _divmod_monic((0,) * e + (1,), poly)[1]
+        rows.append(tuple((i, c) for i, c in enumerate(rem) if c))
+    return tuple(rows)
 
 
 class CyclotomicInt:
@@ -148,10 +167,20 @@ class CyclotomicInt:
         """Coefficients on the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
         The remainder of the working polynomial modulo the order-n
-        cyclotomic polynomial, zero-padded to length phi(n).
+        cyclotomic polynomial, always of length phi(n): the first phi(n)
+        coefficients plus each higher coefficient times its row of
+        `_reduction_rows`.
         """
         if self._canonical is None:
-            self._canonical = _divmod_monic(self.coeffs, cyclotomic_poly(self.order))[1]
+            coeffs = self.coeffs
+            table = _reduction_rows(self.order)
+            phi = self.order - len(table)
+            out = list(coeffs[:phi])
+            for c, row in zip(coeffs[phi:], table):
+                if c:
+                    for i, r in row:
+                        out[i] += c * r
+            self._canonical = tuple(out)
         return self._canonical
 
     def is_zero(self) -> bool:
@@ -213,27 +242,37 @@ def shift_add_walk(rows, caps, n: int) -> dict:
     vector by one, up to caps[j], and adds its weight rotated by
     rows[r][j] into the child's weight. The frontier after the last row
     is returned; every count vector in it sums to len(rows).
+
+    Inside the walk both vectors are packed into single ints (Kronecker
+    substitution). A weight vector has n slots of `width` bits, so a
+    rotation is two shifts and a mask and an add is one int add. A slot
+    counts the paths into its count vector, at most the multinomial
+    coefficient of that vector, which never exceeds min(L!, m^L) for L
+    rows and m entries; `width` holds that bound, so no slot carries into
+    the next. A count vector has one field of `b` bits per entry, enough
+    for max(caps), and the cap test is skipped when no cap can bind.
     """
-    start = [0] * n
-    start[0] = 1
-    frontier = {(0,) * len(caps): start}
+    length, m = len(rows), len(caps)
+    width = min(factorial(length), m ** length).bit_length()
+    mask = (1 << n * width) - 1
+    b = max(caps, default=0).bit_length()
+    field = (1 << b) - 1
+    binds = any(c < length for c in caps)
+    frontier = {0: 1}
     for shifts in rows:
+        steps = [(1 << b * j, (t % n) * width, (n - t % n) * width, b * j, c)
+                 for j, (t, c) in enumerate(zip(shifts, caps))]
         nxt = {}
+        get = nxt.get
         for state, vec in frontier.items():
-            for idx, c in enumerate(state):
-                if c < caps[idx]:
-                    child = state[:idx] + (c + 1,) + state[idx + 1:]
-                    dst = nxt.get(child)
-                    if dst is None:
-                        nxt[child] = dst = [0] * n
-                    t = shifts[idx]
-                    if t:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[(e + t) % n] += a
-                    else:
-                        for e, a in enumerate(vec):
-                            if a:
-                                dst[e] += a
+            for one, left, right, pos, cap in steps:
+                if binds and (state >> pos) & field >= cap:
+                    continue
+                child = state + one
+                nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
         frontier = nxt
-    return frontier
+    slot = (1 << width) - 1
+    fields = [b * j for j in range(m)]
+    slots = [width * e for e in range(n)]
+    return {tuple([(state >> pos) & field for pos in fields]): [(vec >> pos) & slot for pos in slots]
+            for state, vec in frontier.items()}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .cyclotomic import CyclotomicInt, IntegralityViolation, shift_add_walk  # noqa: F401  (re-export)
+from .cyclotomic import CyclotomicInt, shift_add_walk
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
 DEFAULT_BUDGET = 10_000_000  # the most DP states or monomials one computation may hold

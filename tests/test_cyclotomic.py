@@ -6,8 +6,10 @@ import pytest
 from msproots.cyclotomic import (
     CyclotomicInt,
     IntegralityViolation,
+    _divmod_monic,
     cyclotomic_poly,
     root_power,
+    shift_add_walk,
 )
 from msproots.partitions import euler_phi, gcd
 
@@ -159,3 +161,53 @@ def test_zero_test_agrees_with_float_probe():
         seen_zero = seen_zero or exact
         assert exact == (abs(to_complex(a)) < 1e-7), (n, a)
     assert seen_zero
+
+
+def test_canonical_form_matches_division_remainder():
+    rng = random.Random(60)
+    for n in range(1, 61):
+        poly = cyclotomic_poly(n)
+        for _ in range(4):
+            vec = [rng.randrange(-10**6, 10**6 + 1) for _ in range(n)]
+            assert CyclotomicInt(n, vec).canonical_form() == _divmod_monic(vec, poly)[1], (n, vec)
+
+
+def reference_walk(rows, caps, n):
+    """The walk on tuples and lists, one slot at a time, as the packed kernel must match it."""
+    start = [0] * n
+    start[0] = 1
+    frontier = {(0,) * len(caps): start}
+    for shifts in rows:
+        nxt = {}
+        for state, vec in frontier.items():
+            for idx, c in enumerate(state):
+                if c < caps[idx]:
+                    child = state[:idx] + (c + 1,) + state[idx + 1:]
+                    dst = nxt.setdefault(child, [0] * n)
+                    for e, a in enumerate(vec):
+                        dst[(e + shifts[idx]) % n] += a
+        frontier = nxt
+    return frontier
+
+
+def test_shift_add_walk_matches_reference():
+    rng = random.Random(5)
+    cases = [
+        ([], (0, 3), 4),  # no rows: the zero vector with weight 1
+        ([[]], (), 2),  # no entries to raise: nothing survives the row
+        ([[2, 0, 1]], (1, 1, 1), 3),  # a single row
+        ([[0, 0]] * 6, (6, 6), 1),  # n = 1
+        ([[1, 2]] * 3, (0, 1), 5),  # caps too small to reach the last row
+    ]
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        m = rng.randrange(1, 5)
+        length = rng.randrange(1, 8)
+        rows = [[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(length)]
+        if rng.random() < 0.5:
+            caps = tuple(rng.randrange(0, length + 1) for _ in range(m))  # caps that bind
+        else:
+            caps = tuple(rng.randrange(length, length + 3) for _ in range(m))  # caps that never bind
+        cases.append((rows, caps, n))
+    for rows, caps, n in cases:
+        assert shift_add_walk(rows, caps, n) == reference_walk(rows, caps, n), (rows, caps, n)

@@ -1,6 +1,7 @@
 import pytest
 
-from msproots import groupdet
+import msproots
+from msproots import cyclotomic, groupdet, msp
 from msproots.msp import BudgetExceeded, EvalInstance, msp_value_dp
 from msproots.groupdet import (
     MonomialMap,
@@ -141,3 +142,14 @@ def test_records_sorted_by_partition():
     assert records == [("1,1,1", 1), ("1,2,3", -3), ("2,2,2", 1), ("3,3,3", 1)]
     texts = [t for t, _ in dedekind_expand(5, 1).to_records()]
     assert texts == sorted(texts, key=lambda s: tuple(int(x) for x in s.split(",")))
+
+
+def test_clear_caches_empties_every_memo():
+    dedekind_expand(4, 1)
+    msp_value_dp(EvalInstance((1, 1, 2, 2), 2, 2))
+    cyclotomic.CyclotomicInt(12, [1] * 12).canonical_form()
+    memos = (msp._dp_value, cyclotomic.cyclotomic_poly, cyclotomic._reduction_rows)
+    assert groupdet._expansions and all(memo.cache_info().currsize for memo in memos)
+    msproots.clear_caches()
+    assert not groupdet._expansions
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -107,6 +107,16 @@ def test_two_block_closed_form_matches_dp():
                     assert dp(lam, n, k) == want, (n, k, lam1, a)
                     if sum(lam) % n == 0:
                         assert want != 0
+
+
+def test_two_block_closed_form_matches_dp_with_wide_slots():
+    # up to binom(80, 40) and binom(75, 37) paths reach one DP state here, so slot counts pass 2^64
+    for n, k in ((2, 40), (3, 25)):
+        assert comb(k * n, k * n // 2) > 2 ** 64
+        for lam1 in range(1, n):
+            for a in range(k * n + 1):
+                lam = (lam1,) * a + (n,) * (k * n - a)
+                assert dp(lam, n, k) == closed_form_two_blocks(lam1, a, n, k), (n, k, lam1, a)
 
 
 def test_two_block_closed_form_depends_only_on_residue():
