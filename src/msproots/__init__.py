@@ -48,6 +48,7 @@ from .groupdet import (
     exponent_key,
     key_partition,
     leibniz_determinant,
+    orbit_expand,
     prime_term_count,
 )
 from .verify import (

@@ -14,7 +14,7 @@ import sys
 
 from . import verify as checks
 from .cyclotomic import IntegralityViolation
-from .groupdet import count_terms, dedekind_expand
+from .groupdet import count_terms, orbit_expand
 from .msp import (
     BudgetExceeded,
     EvalInstance,
@@ -100,7 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    records = dedekind_expand(args.n, args.k, _budget(args)).to_records()
+    records = orbit_expand(args.n, args.k, _budget(args)).to_records()
     if args.format == "json":
         print(json.dumps([{"lambda": text, "coefficient": c} for text, c in records]))
     elif args.format == "tsv":

@@ -12,9 +12,10 @@ from itertools import permutations
 from math import gcd
 from typing import NamedTuple
 
+from . import msp
 from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import DEFAULT_BUDGET, BudgetExceeded, EvalInstance, msp_value_dp
-from .partitions import binomial, format_partition, is_prime, lambda_tilde_size
+from .partitions import binomial, enumerate_partitions, format_partition, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
 
@@ -147,6 +148,26 @@ def leibniz_determinant(n: int) -> MonomialMap:
 _expansions: dict = {}
 
 
+def monomial_bound(n: int, k: int) -> int:
+    """binom(kn + n - 1, n - 1): the monomials of degree kn in n variables.
+
+    No expansion route ever holds more: neither the final map nor any
+    intermediate frontier, whose count vectors at row r number at most
+    binom(r + n - 1, n - 1).
+    """
+    return binomial(k * n + n - 1, n - 1)
+
+
+def _check_budget(n: int, k: int, budget: int | None) -> None:
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    bound = monomial_bound(n, k)
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    if bound > budget:
+        raise BudgetExceeded(f"expansion may reach {bound} monomials, over the budget of {budget}")
+
+
 def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     """Multiply out the k-fold product of the n character linear forms.
 
@@ -155,18 +176,14 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     stay in the cheap working representation (length-n vectors, shifted
     and added); each final coefficient is read out to an integer exactly
     once, which raises IntegralityViolation if anything non-integral
-    survives. Completed expansions are cached per (n, k).
+    survives. Completed expansions are cached per (n, k). This literal
+    product is the reference that check_thm32 and the tests compare
+    orbit_expand against.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
     cached = _expansions.get((n, k))
     if cached is not None:
         return cached
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    bound = binomial(k * n + n - 1, n - 1)
-    if bound > budget:
-        raise BudgetExceeded(f"expansion may reach {bound} monomials, over the budget of {budget}")
+    _check_budget(n, k, budget)
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
     for key, vec in shift_add_walk(rows, (k * n,) * n, n).items():
@@ -175,6 +192,49 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
             terms[key] = val
     result = MonomialMap(n, k * n, terms)
     _expansions[(n, k)] = result
+    return result
+
+
+def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
+    """The same k-th determinant power as dedekind_expand, from one DP value per orbit.
+
+    By Theorem 3.2 each determinant coefficient is the orbit-sum value of
+    its key. The relabelings x_j -> x_(l*j + c), gcd(l, n) = 1, permute
+    the keys and multiply the coefficients by (-1)^(c(n-1)): scaling by l
+    conjugates the circulant by a permutation matrix, and shifting by c
+    multiplies it by a cyclic shift. So the DP value of the first key of
+    each orbit in lexicographic order, written with its sign to the whole
+    orbit, gives the determinant; the k-th power is k - 1 sparse products.
+    Same guard as dedekind_expand; nothing is memoized.
+    """
+    _check_budget(n, k, budget)
+    maps = []
+    for l in range(1, n + 1):
+        if gcd(l, n) == 1:
+            for c in range(n):
+                source = [0] * n  # source[j]: the variable index that lands on index j
+                for i in range(n):
+                    source[(l * (i + 1) + c - 1) % n] = i
+                maps.append((source, -1 if c * (n - 1) % 2 else 1))
+    dp = msp._dp_value.__wrapped__
+    values = {}  # every key seen, zeros included: it is also the seen set
+    for lam in enumerate_partitions(n, n):
+        if sum(lam) % n:
+            continue
+        key = exponent_key(lam, n)
+        if key in values:
+            continue
+        parts = tuple(i + 1 for i, e in enumerate(key) if e)
+        value = dp(parts, tuple(e for e in key if e), n)
+        for source, sign in maps:
+            values[tuple([key[i] for i in source])] = sign * value
+    if len(values) != lambda_tilde_size(n, 1):
+        raise AssertionError(f"orbits cover {len(values)} keys, the index-set size is "
+                             f"{lambda_tilde_size(n, 1)}; arithmetic is broken")
+    det = MonomialMap(n, n, values)
+    result = det
+    for _ in range(k - 1):
+        result = result * det
     return result
 
 
@@ -202,7 +262,7 @@ class TermCount(NamedTuple):
 
 def count_terms(n: int, k: int, budget: int | None = None) -> TermCount:
     """Surviving-term count of the k-fold expansion against the index-set size."""
-    nu = len(dedekind_expand(n, k, budget))
+    nu = len(orbit_expand(n, k, budget))
     upper = lambda_tilde_size(n, k)
     if nu > upper:
         raise AssertionError(f"term count {nu} exceeds the index-set size {upper}; arithmetic is broken")

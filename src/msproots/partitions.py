@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb, gcd  # noqa: F401  (gcd re-exported as part of the module surface)
+from math import comb, gcd
 
 
 def binomial(a: int, b: int) -> int:

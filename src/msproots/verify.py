@@ -26,6 +26,8 @@ from .groupdet import (
     exponent_key,
     key_partition,
     leibniz_determinant,
+    monomial_bound,
+    orbit_expand,
     prime_term_count,
 )
 from .msp import (
@@ -466,11 +468,11 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
     budget = budget if budget is not None else DEFAULT_BUDGET
-    monomials = binomial(k * n + n - 1, n - 1)
+    monomials = monomial_bound(n, k)
     states = (k + 1) ** n
     t0 = time.perf_counter()
     if monomials <= budget:
-        expansion = dedekind_expand(n, k, budget)
+        expansion = orbit_expand(n, k, budget)
 
         def value(lam):
             return expansion.coefficient(exponent_key(lam, n))

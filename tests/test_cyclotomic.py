@@ -1,5 +1,6 @@
 import cmath
 import random
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from msproots.cyclotomic import (
     root_power,
     shift_add_walk,
 )
-from msproots.partitions import euler_phi, gcd
+from msproots.partitions import euler_phi
 
 
 def poly_mul(a, b):

@@ -1,7 +1,7 @@
 """Every evaluator gives the same value on every instance the API accepts."""
 import pytest
 
-from msproots.groupdet import dedekind_expand, exponent_key
+from msproots.groupdet import dedekind_expand, exponent_key, orbit_expand
 from msproots.msp import EvalInstance, closed_form_value, msp_value_dp, msp_value_naive
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -31,4 +31,7 @@ def test_evaluators_agree(inst):
         assert closed[0] == value
     n = inst.n
     if all(1 <= p <= n for p in inst.parts):
-        assert dedekind_expand(n, inst.k).coefficient(exponent_key(inst.parts, n)) == value
+        key = exponent_key(inst.parts, n)
+        assert dedekind_expand(n, inst.k).coefficient(key) == value
+        if n <= 6:
+            assert orbit_expand(n, inst.k).coefficient(key) == value

@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from msproots import cli, groupdet, verify
 from msproots.cli import main
 
 EVAL_CLOSED = (("3", "1", "3,1,2"), ("2", "2", "1,1,2,2"), ("4", "1", "1,1,2,4"),
@@ -22,7 +23,9 @@ EVAL_OPEN = (("4", "1", "1,1,3,3"), ("5", "1", "1,2,3,4,5"), ("3", "2", "1,1,2,2
 RUNS = (
     [["expand", "--n", n, "--k", k, "--format", fmt]
      for n, k in (("5", "1"), ("6", "1"), ("4", "2")) for fmt in ("tsv", "json")]
-    + [["count", "--n", "6"], ["count", "--n", "7"]]
+    + [["expand", "--n", "3", "--k", "3", "--format", "tsv"], ["expand", "--n", "7", "--k", "1", "--format", "tsv"],
+       ["expand", "--n", "1", "--k", "2"]]
+    + [["count", "--n", "6"], ["count", "--n", "7"], ["count", "--n", "8"], ["count", "--n", "4", "--k", "2"]]
     + [["eval", "--n", n, "--k", k, "--lambda", lam, "--method", m]
        for n, k, lam in EVAL_CLOSED for m in ("dp", "naive", "closed", "auto")]
     + [["eval", "--n", n, "--k", k, "--lambda", lam, "--method", m]
@@ -34,7 +37,8 @@ RUNS = (
        ["verify", "--suite", "prop21", "--n", "3", "--k", "2"],
        ["verify", "--suite", "prop21", "--n", "2", "--k", "3"],
        ["verify", "--suite", "lemma24", "--n", "4", "--lambda", "1,2,2,3"],
-       ["conjecture", "--n", "6", "--format", "plain"]]
+       ["conjecture", "--n", "6", "--format", "plain"],
+       ["conjecture", "--n", "4", "--k", "2", "--format", "plain"]]
 )
 
 GOLDEN = {
@@ -44,8 +48,13 @@ GOLDEN = {
     "expand --n 6 --k 1 --format json": "e28f18fd06b37290f3062d6c7b82a25ad54845fd3a48eb144cb9b35cb177a133",
     "expand --n 4 --k 2 --format tsv": "05c6a858a1637f6dd9659a47291307814b9d184f6c7d91872dc544140d76ec0a",
     "expand --n 4 --k 2 --format json": "012089a8e47219afd3a6cd7a2cb663ebbcdfefc220c828058431e2542aca6436",
+    "expand --n 3 --k 3 --format tsv": "d7c413a9d713c32cf7c21d365baf7987b1448f8425877454c0b410f21db72d27",
+    "expand --n 7 --k 1 --format tsv": "52d870b0c2948a446d190edbc8398497001af60dc25a24f43ffee0abcb6f039b",
+    "expand --n 1 --k 2": "e9e8284bf2392917c827765cd2f6167a5752ba4d864e3e3eb51839bab21dcad5",
     "count --n 6": "3e9553e9a6fe1e3e23056ee849cb32cba30762866b7185cd89d6d3fe94341511",
     "count --n 7": "015493aea084ce3d046c94f90ca2cb02ef0a0f1df5ba18e11418ddf7d621793a",
+    "count --n 8": "049cb28ab2c1c4b0d8e68cfed0ba6407593071a978920a02d128274a29bb0bb3",
+    "count --n 4 --k 2": "c5faf86e4dc1eacf1f5eb10e86ed15cd3963ba67bb17d8a7227631a874c68220",
     "eval --n 3 --k 1 --lambda 3,1,2 --method dp": "5e8b1776b670f2c0b3bd94a36136b76322380e1c1e8cb0af4f5e1ee787f1e347",
     "eval --n 3 --k 1 --lambda 3,1,2 --method naive": "99ca28190a83ee2be1565bd9cee14667ac9c67506dd4c98d6e946598f95ff097",
     "eval --n 3 --k 1 --lambda 3,1,2 --method closed": "183dc31c74a0ce4e76ab9ec20abb374d64a828aad469f4e4e1f4f84d8771b984",
@@ -88,6 +97,7 @@ GOLDEN = {
     "verify --suite prop21 --n 2 --k 3": "6e505eb8462f8c8d56abe1bd1c8436c449ad35ffb0af1376626b0f10650565c7",
     "verify --suite lemma24 --n 4 --lambda 1,2,2,3": "4d8fa41e3c3f45d376ea6b3a05c2b838128e93c8cb7278fb5ae25a1291afa74f",
     "conjecture --n 6 --format plain": "1255169564e247c24c7e5a86e2f158e1658954ce937d8e73aebee5ac28bac327",
+    "conjecture --n 4 --k 2 --format plain": "2a186658a9b63ed51f24d815ae4ecd2d5ee8f97a0854fc308082285d9c3a2639",
 }
 
 
@@ -102,6 +112,17 @@ def digest(argv):
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
 def test_cli_stdout_matches_golden(argv):
     assert digest(argv) == (0, GOLDEN[" ".join(argv)])
+
+
+def test_expand_count_and_conjecture_do_not_walk(monkeypatch):
+    """CLI expand and count and the conjecture's expansion branch take the orbit route."""
+    assert not hasattr(cli, "dedekind_expand")
+    monkeypatch.setattr(groupdet, "dedekind_expand", None)
+    monkeypatch.setattr(verify, "dedekind_expand", None)
+    for argv in RUNS:
+        if argv[0] in ("expand", "count", "conjecture"):
+            assert digest(argv) == (0, GOLDEN[" ".join(argv)]), argv
+    assert len(verify.explore_conjecture(6, 1).zero_coefficients) == 12
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 import msproots
@@ -11,9 +13,11 @@ from msproots.groupdet import (
     exponent_key,
     key_partition,
     leibniz_determinant,
+    monomial_bound,
+    orbit_expand,
     prime_term_count,
 )
-from msproots.partitions import enumerate_partitions
+from msproots.partitions import enumerate_partitions, lambda_tilde_size
 
 
 def test_leibniz_golden_n3():
@@ -58,6 +62,63 @@ def test_dedekind_budget_guard():
     groupdet._expansions.pop((4, 3), None)
     with pytest.raises(BudgetExceeded):
         dedekind_expand(4, 3, budget=10)
+
+
+ORBIT_ROUTE_CASES = ([(n, 1) for n in range(1, 10)] + [(n, 2) for n in range(1, 8)]
+                     + [(n, 3) for n in range(1, 6)] + [(4, 4), (3, 10), (2, 30)])
+
+
+@pytest.mark.parametrize("n,k", ORBIT_ROUTE_CASES)
+def test_orbit_expand_matches_walk(n, k):
+    assert orbit_expand(n, k) == dedekind_expand(n, k)
+
+
+def test_orbit_expand_keeps_no_memo():
+    msproots.clear_caches()
+    orbit_expand(6, 2)
+    assert not groupdet._expansions and msp._dp_value.cache_info().currsize == 0
+
+
+def _outcome(fn, n, k, budget):
+    groupdet._expansions.pop((n, k), None)  # a cached walk skips its guard
+    try:
+        return len(fn(n, k, budget))
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n,k,budget", [
+    (4, 3, 10), (4, 3, 454), (4, 3, 455), (5, 1, 125), (5, 1, 126), (1, 5, 1), (3, 2, None),
+    (0, 1, None), (2, 0, None), (9, 1, 24309), (9, 1, 24310)])
+def test_orbit_expand_guard_matches_walk(n, k, budget):
+    want = _outcome(dedekind_expand, n, k, budget)
+    assert _outcome(orbit_expand, n, k, budget) == want
+    if n >= 1 and k >= 1:
+        bound = monomial_bound(n, k)
+        assert isinstance(want, int) == (budget is None or budget >= bound), (bound, want)
+
+
+def test_orbit_expand_checks_the_orbit_cover(monkeypatch):
+    monkeypatch.setattr(groupdet, "lambda_tilde_size", lambda n, k: lambda_tilde_size(n, k) + 1)
+    with pytest.raises(AssertionError, match="orbits cover 80 keys"):
+        orbit_expand(6, 1)
+
+
+def test_affine_relabeling_sign_law_on_walk():
+    """x_j -> x_(l*j + c) with gcd(l, n) = 1 multiplies each determinant
+    coefficient by (-1)^(c(n-1)); this is the law orbit_expand relies on."""
+    for n in range(1, 9):
+        det = dedekind_expand(n, 1)
+        for l in range(1, n + 1):
+            if gcd(l, n) != 1:
+                continue
+            for c in range(n):
+                sign = (-1) ** (c * (n - 1))
+                for key, coeff in det.items():
+                    new = [0] * n
+                    for v, e in enumerate(key, start=1):
+                        new[(l * v + c - 1) % n] += e
+                    assert det.coefficient(new) == sign * coeff, (n, l, c, key)
 
 
 def test_dedekind_keys_have_divisible_weight():

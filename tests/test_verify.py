@@ -191,6 +191,7 @@ def test_explore_conjecture_dp_route_matches_expansion(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(verify, "dedekind_expand", None)  # the DP route must not expand
+        m.setattr(verify, "orbit_expand", None)
         by_dp = explore_conjecture(6, 1, budget=100)  # under the 462-monomial bound
     by_expansion = explore_conjecture(6, 1)
     assert by_dp.zero_coefficients == by_expansion.zero_coefficients
