@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import msp
 from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import DEFAULT_BUDGET, BudgetExceeded, EvalInstance, msp_value_dp
-from .partitions import binomial, enumerate_partitions, format_partition, is_prime, lambda_tilde_size
+from .partitions import binomial, enumerate_partitions, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
 
@@ -81,16 +81,35 @@ class MonomialMap:
     __hash__ = None
 
     def __mul__(self, other):
+        """Product of two maps, with each exponent vector packed into one int.
+
+        A key becomes one field of `b` bits per variable (Kronecker
+        substitution), where `b` is the bit length of the product's
+        degree. No exponent of the product exceeds that degree, so no
+        field carries into the next and a key sum is one int add. Each
+        product key is unpacked once, at the end.
+        """
         if not isinstance(other, MonomialMap):
             return NotImplemented
         if self.n_vars != other.n_vars:
             raise ValueError("variable counts differ")
+        degree = self.degree + other.degree
+        b = degree.bit_length()
+        fields = [b * i for i in range(self.n_vars)]
+
+        def packed(m):
+            return [(sum([e << pos for e, pos in zip(key, fields)]), c) for key, c in m._terms.items()]
+
+        left, right = packed(self), packed(other)
         out = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MonomialMap(self.n_vars, self.degree + other.degree, out)
+        get = out.get
+        for k1, c1 in left:
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        field = (1 << b) - 1
+        return MonomialMap(self.n_vars, degree,
+                           {tuple([(key >> pos) & field for pos in fields]): c for key, c in out.items()})
 
     def relabel(self, l: int) -> "MonomialMap":
         """Apply the variable relabeling x_v -> x_(l*v mod n), representatives in 1..n."""
@@ -107,21 +126,31 @@ class MonomialMap:
         return MonomialMap(n, self.degree, out)
 
     def to_records(self):
-        """(partition text, coefficient) pairs sorted by partition for stable export."""
-        recs = sorted((key_partition(key), c) for key, c in self._terms.items())
-        return [(format_partition(p), c) for p, c in recs]
+        """(partition text, coefficient) pairs sorted by partition for stable export.
+
+        Every key has the same total, so descending order of exponent
+        vectors is ascending lexicographic order of their partitions.
+        """
+        labels = [f"{i + 1}," for i in range(self.n_vars)]
+        return [("".join([lab * e for lab, e in zip(labels, key)])[:-1], c)
+                for key, c in sorted(self._terms.items(), reverse=True)]
 
     def __repr__(self):
         return f"MonomialMap(n_vars={self.n_vars}, degree={self.degree}, terms={len(self._terms)})"
 
 
 def _parity_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    """Sign of a permutation of 1..n: (-1)^(n - number of cycles)."""
+    seen = [False] * (len(perm) + 1)
+    parity = len(perm)
+    for start in perm:
+        if not seen[start]:
+            parity -= 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j - 1]
+    return -1 if parity % 2 else 1
 
 
 def leibniz_determinant(n: int) -> MonomialMap:
@@ -180,10 +209,10 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     product is the reference that check_thm32 and the tests compare
     orbit_expand against.
     """
+    _check_budget(n, k, budget)
     cached = _expansions.get((n, k))
     if cached is not None:
         return cached
-    _check_budget(n, k, budget)
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
     for key, vec in shift_add_walk(rows, (k * n,) * n, n).items():

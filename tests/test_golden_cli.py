@@ -24,7 +24,8 @@ RUNS = (
     [["expand", "--n", n, "--k", k, "--format", fmt]
      for n, k in (("5", "1"), ("6", "1"), ("4", "2")) for fmt in ("tsv", "json")]
     + [["expand", "--n", "3", "--k", "3", "--format", "tsv"], ["expand", "--n", "7", "--k", "1", "--format", "tsv"],
-       ["expand", "--n", "1", "--k", "2"]]
+       ["expand", "--n", "1", "--k", "2"], ["expand", "--n", "10", "--k", "1", "--format", "tsv"],
+       ["expand", "--n", "6", "--k", "3", "--format", "tsv"]]
     + [["count", "--n", "6"], ["count", "--n", "7"], ["count", "--n", "8"], ["count", "--n", "4", "--k", "2"]]
     + [["eval", "--n", n, "--k", k, "--lambda", lam, "--method", m]
        for n, k, lam in EVAL_CLOSED for m in ("dp", "naive", "closed", "auto")]
@@ -51,6 +52,8 @@ GOLDEN = {
     "expand --n 3 --k 3 --format tsv": "d7c413a9d713c32cf7c21d365baf7987b1448f8425877454c0b410f21db72d27",
     "expand --n 7 --k 1 --format tsv": "52d870b0c2948a446d190edbc8398497001af60dc25a24f43ffee0abcb6f039b",
     "expand --n 1 --k 2": "e9e8284bf2392917c827765cd2f6167a5752ba4d864e3e3eb51839bab21dcad5",
+    "expand --n 10 --k 1 --format tsv": "e4000c490950359f780b1e10f119c1d48471f9c4dc209c77b39d2810cc39fe51",
+    "expand --n 6 --k 3 --format tsv": "9fc11de3050af59bdc75add98aef986fbf1c513b4844112db2704c242ece8a5f",
     "count --n 6": "3e9553e9a6fe1e3e23056ee849cb32cba30762866b7185cd89d6d3fe94341511",
     "count --n 7": "015493aea084ce3d046c94f90ca2cb02ef0a0f1df5ba18e11418ddf7d621793a",
     "count --n 8": "049cb28ab2c1c4b0d8e68cfed0ba6407593071a978920a02d128274a29bb0bb3",

@@ -1,3 +1,5 @@
+import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -17,7 +19,7 @@ from msproots.groupdet import (
     orbit_expand,
     prime_term_count,
 )
-from msproots.partitions import enumerate_partitions, lambda_tilde_size
+from msproots.partitions import enumerate_partitions, format_partition, lambda_tilde_size
 
 
 def test_leibniz_golden_n3():
@@ -64,6 +66,12 @@ def test_dedekind_budget_guard():
         dedekind_expand(4, 3, budget=10)
 
 
+def test_dedekind_budget_guard_precedes_the_cache():
+    assert len(dedekind_expand(4, 3)) == 116
+    with pytest.raises(BudgetExceeded):
+        dedekind_expand(4, 3, budget=10)
+
+
 ORBIT_ROUTE_CASES = ([(n, 1) for n in range(1, 10)] + [(n, 2) for n in range(1, 8)]
                      + [(n, 3) for n in range(1, 6)] + [(4, 4), (3, 10), (2, 30)])
 
@@ -80,7 +88,6 @@ def test_orbit_expand_keeps_no_memo():
 
 
 def _outcome(fn, n, k, budget):
-    groupdet._expansions.pop((n, k), None)  # a cached walk skips its guard
     try:
         return len(fn(n, k, budget))
     except (BudgetExceeded, ValueError) as exc:
@@ -196,6 +203,114 @@ def test_relabel_fixes_expansions():
                 assert m.relabel(l) == m, (n, k, l)
     with pytest.raises(ValueError):
         dedekind_expand(4, 1).relabel(2)
+
+
+def _schoolbook_product(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return MonomialMap(a.n_vars, a.degree + b.degree, out)
+
+
+def _random_map(rng, n, degree, size, big=False):
+    terms = {}
+    for _ in range(size):
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        key = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [degree]))
+        c = rng.randrange(2 ** 64, 2 ** 70) if big else rng.randrange(1, 6)
+        terms[key] = c if rng.random() < 0.5 else -c
+    return MonomialMap(n, degree, terms)
+
+
+@pytest.mark.parametrize("n,d1,d2,size,big", [
+    (1, 3, 4, 1, False), (1, 0, 5, 1, True), (2, 0, 0, 1, False), (3, 0, 6, 8, False),
+    (4, 5, 0, 8, True), (2, 7, 9, 12, False), (5, 4, 4, 30, False), (5, 8, 8, 40, True),
+    (8, 8, 8, 60, False), (12, 3, 5, 40, True), (3, 31, 33, 25, False)])
+def test_packed_product_matches_schoolbook(n, d1, d2, size, big):
+    rng = random.Random(n * 1000 + d1 * 37 + d2)
+    for _ in range(5):
+        a, b = _random_map(rng, n, d1, size, big), _random_map(rng, n, d2, size, big)
+        assert a * b == _schoolbook_product(a, b), (a, b)
+        assert b * a == a * b
+
+
+def test_packed_product_field_width_edges():
+    """Product keys that put the whole degree on one variable, beside keys
+    whose neighbouring exponents are nonzero: the widest field value."""
+    for degree in (1, 2, 3, 4, 7, 8, 15, 16):
+        for n in (1, 2, 3, 4):
+            for v in range(n):
+                lone = [0] * n
+                lone[v] = degree
+                spread = [0] * n
+                for i in range(degree):
+                    spread[i % n] += 1
+                a = MonomialMap(n, degree, {tuple(lone): 3, tuple(spread): -2})
+                one = MonomialMap(n, 0, {(0,) * n: 1})
+                assert a * one == _schoolbook_product(a, one) == a, (n, degree, v)
+                b = MonomialMap(n, degree, {tuple(lone): 1, tuple(reversed(spread)): 5})
+                assert a * b == _schoolbook_product(a, b), (n, degree, v)
+
+
+def test_packed_product_drops_cancelled_terms():
+    plus = MonomialMap(2, 1, {(1, 0): 1, (0, 1): 1})
+    minus = MonomialMap(2, 1, {(1, 0): 1, (0, 1): -1})
+    assert dict((plus * minus).items()) == {(2, 0): 1, (0, 2): -1}
+    big = 2 ** 80
+    a = MonomialMap(3, 2, {(2, 0, 0): big, (1, 1, 0): -big})
+    b = MonomialMap(3, 1, {(0, 1, 0): 1, (1, 0, 0): 1})
+    assert dict((a * b).items()) == {(3, 0, 0): big, (1, 2, 0): -big}
+    assert a * b == _schoolbook_product(a, b)
+    empty = MonomialMap(3, 4, {})
+    assert len(a * empty) == 0 and (a * empty).degree == 6
+
+
+def test_packed_product_prop21_degree_zero_chain():
+    """verify's prop21 folds e_lambda starting from the degree-0 map es[0]."""
+    from functools import reduce
+    from itertools import combinations
+    n = 4
+    es = [MonomialMap(n, r, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), r)})
+          for r in range(n + 1)]
+    lam = (0, 1, 2, 2, 4)
+    assert reduce(MonomialMap.__mul__, (es[p] for p in lam if p), es[0]) == reduce(
+        _schoolbook_product, (es[p] for p in lam if p), es[0])
+
+
+def _inversion_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def test_parity_sign_matches_inversion_count():
+    for n in range(1, 8):
+        for perm in permutations(range(1, n + 1)):
+            assert groupdet._parity_sign(perm) == _inversion_sign(perm), perm
+
+
+def _records_by_sorted_partition(m):
+    """The export order as it was first defined: sort the partitions themselves."""
+    recs = sorted((key_partition(key), c) for key, c in m.items())
+    return [(format_partition(p), c) for p, c in recs]
+
+
+@pytest.mark.parametrize("n,k", [(10, 1), (3, 3), (6, 3), (2, 5)])
+def test_records_order_matches_sorted_partitions(n, k):
+    m = orbit_expand(n, k)
+    assert m.to_records() == _records_by_sorted_partition(m)
+
+
+def test_records_order_with_two_digit_labels():
+    rng = random.Random(12)
+    for n, degree in [(10, 3), (12, 5), (13, 1), (11, 0)]:
+        m = _random_map(rng, n, degree, 200, big=True)
+        assert m.to_records() == _records_by_sorted_partition(m), (n, degree)
 
 
 def test_records_sorted_by_partition():
