@@ -1,6 +1,6 @@
 """Exact special values of monomial symmetric polynomials at roots of unity.
 
-Exact cyclotomic-integer arithmetic, bounded-partition enumeration,
+Exact cyclotomic-integer readout, bounded-partition enumeration,
 three independent evaluators for the orbit-sum values, expansion and
 term counting of cyclic-group determinant powers, and machine
 verification suites for the identities tying all of it together.
@@ -10,7 +10,6 @@ from .cyclotomic import (
     CyclotomicInt,
     IntegralityViolation,
     cyclotomic_poly,
-    root_power,
 )
 from .partitions import (
     binomial,
@@ -18,31 +17,24 @@ from .partitions import (
     enumerate_partitions,
     euler_phi,
     format_partition,
-    inclusion_order,
     invariant_dimension,
     lambda_tilde_size,
     parse_partition,
-    remove_parts,
-    triangle_order,
 )
 from .msp import (
     BudgetExceeded,
     EvalInstance,
     closed_form_two_blocks,
     closed_form_value,
-    e_product,
-    elementary_symmetric,
     mansfield_coefficient,
     msp_value_dp,
     msp_value_naive,
-    power_sum,
     prime_nonvanishing,
     reduce_two_distinct,
     scale_partition,
 )
 from .groupdet import (
     MonomialMap,
-    coefficient,
     count_terms,
     dedekind_expand,
     exponent_key,

@@ -173,6 +173,11 @@ def _cmd_conjecture(args) -> int:
     rep = checks.explore_conjecture(args.n, args.k, budget=_budget(args))
     if args.format == "json":
         print(json.dumps(rep.to_dict()))
+    elif args.format == "tsv":
+        print(f"{rep.n}\t{rep.k}\t{rep.total}\t{len(rep.zero_coefficients)}\t"
+              f"{rep.is_prime_power}\t{rep.consistent_with_conjecture}")
+        for lam in rep.zero_coefficients:
+            print(format_partition(lam))
     else:
         zeros = len(rep.zero_coefficients)
         print(f"n={rep.n} k={rep.k}: {rep.total} partitions examined, {zeros} zero coefficients, "

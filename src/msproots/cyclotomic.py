@@ -1,12 +1,12 @@
-"""Exact arithmetic in rings of cyclotomic integers.
+"""Exact readout of cyclotomic integers, and the walk that builds them.
 
-Values are elements of Z[zeta_n] for a fixed order n, held as length-n
-integer coefficient vectors in the working quotient Z[x]/(x^n - 1), where
-addition is a vector add and multiplication is a cyclic convolution.
-Reduction modulo the n-th cyclotomic polynomial happens only at
-comparison and readout time; since {1, zeta, ..., zeta^(phi(n)-1)} is a
-basis of Z[zeta_n], the reduced form is canonical and makes equality and
-zero tests exact and decidable.
+Values are elements of Z[zeta_n] for a fixed order n, built by
+`shift_add_walk` as length-n integer coefficient vectors in the working
+quotient Z[x]/(x^n - 1), where a product with a root power is a rotation
+and a sum is a vector add. Reduction modulo the n-th cyclotomic
+polynomial happens only at readout; since {1, zeta, ..., zeta^(phi(n)-1)}
+is a basis of Z[zeta_n], the reduced form is canonical, so the integer
+read out of it is exact.
 
 All integers are arbitrary precision throughout; there is no rounding
 path anywhere in this module.
@@ -79,89 +79,22 @@ def _reduction_rows(n: int) -> tuple:
 
 
 class CyclotomicInt:
-    """An element of Z[zeta_n], immutable.
+    """An element of Z[zeta_n], held for one readout.
 
     ``coeffs[j]`` multiplies zeta_n^j in the working representation
-    Z[x]/(x^n - 1). Mixed arithmetic with plain ints is supported; two
-    values are equal exactly when their canonical forms agree.
+    Z[x]/(x^n - 1), as a shift-add walk leaves it.
     """
 
-    __slots__ = ("order", "coeffs", "_canonical")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs=None):
+    def __init__(self, order, coeffs):
         if order < 1:
             raise ValueError("order must be a positive integer")
-        if coeffs is None:
-            vec = (0,) * order
-        else:
-            vec = tuple(coeffs)
-            if len(vec) != order:
-                raise ValueError(f"expected {order} coefficients, got {len(vec)}")
+        vec = tuple(coeffs)
+        if len(vec) != order:
+            raise ValueError(f"expected {order} coefficients, got {len(vec)}")
         self.order = order
         self.coeffs = vec
-        self._canonical = None
-
-    @classmethod
-    def from_int(cls, order, value):
-        return cls(order, (value,) + (0,) * (order - 1))
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CyclotomicInt.from_int(self.order, other)
-        if isinstance(other, CyclotomicInt):
-            if other.order != self.order:
-                raise ValueError(f"cannot combine values of orders {self.order} and {other.order}")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicInt(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicInt(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInt(self.order, tuple(a * other for a in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.order
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return CyclotomicInt(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative powers are not defined in Z[zeta_n]")
-        result = CyclotomicInt.from_int(self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def canonical_form(self) -> tuple:
         """Coefficients on the power basis 1, zeta, ..., zeta^(phi(n)-1).
@@ -171,23 +104,15 @@ class CyclotomicInt:
         coefficients plus each higher coefficient times its row of
         `_reduction_rows`.
         """
-        if self._canonical is None:
-            coeffs = self.coeffs
-            table = _reduction_rows(self.order)
-            phi = self.order - len(table)
-            out = list(coeffs[:phi])
-            for c, row in zip(coeffs[phi:], table):
-                if c:
-                    for i, r in row:
-                        out[i] += c * r
-            self._canonical = tuple(out)
-        return self._canonical
-
-    def is_zero(self) -> bool:
-        return not any(self.canonical_form())
-
-    def is_integer(self) -> bool:
-        return not any(self.canonical_form()[1:])
+        coeffs = self.coeffs
+        table = _reduction_rows(self.order)
+        phi = self.order - len(table)
+        out = list(coeffs[:phi])
+        for c, row in zip(coeffs[phi:], table):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return tuple(out)
 
     def to_integer(self) -> int:
         """Read the value out as a plain integer.
@@ -201,37 +126,8 @@ class CyclotomicInt:
                 f"value of order {self.order} is not a rational integer: canonical form {list(cf)}")
         return cf[0]
 
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            cf = self.canonical_form()
-            return not any(cf[1:]) and cf[0] == other
-        if isinstance(other, CyclotomicInt):
-            if self.order == other.order:
-                return self.canonical_form() == other.canonical_form()
-            return (self.is_integer() and other.is_integer()
-                    and self.canonical_form()[0] == other.canonical_form()[0])
-        return NotImplemented
-
-    def __hash__(self):
-        cf = self.canonical_form()
-        if not any(cf[1:]):
-            return hash(cf[0])
-        return hash((self.order, cf))
-
     def __repr__(self):
         return f"CyclotomicInt({self.order}, {list(self.coeffs)})"
-
-
-def root_power(n: int, e: int) -> CyclotomicInt:
-    """zeta_n^e as an exact value; the exponent is reduced modulo n."""
-    if n < 1:
-        raise ValueError("order must be a positive integer")
-    vec = [0] * n
-    vec[e % n] = 1
-    return CyclotomicInt(n, vec)
 
 
 def shift_add_walk(rows, caps, n: int) -> dict:

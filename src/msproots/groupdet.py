@@ -1,10 +1,12 @@
 """Exact expansion of cyclic-group determinants and their powers.
 
 The determinant of the circulant variable matrix for the cyclic group
-{1, ..., n} (n labels the identity element) is expanded two independent
-ways: the signed permutation sum, and the product of the n character
-linear forms, whose k-fold repetition gives the k-th power. Monomials
-live in sparse exponent-vector maps with exact integer coefficients.
+{1, ..., n} (n labels the identity element) is expanded three ways: the
+signed permutation sum, the product of the n character linear forms
+(whose k-fold repetition gives the k-th power), and one orbit-sum value
+per orbit of keys under the affine relabelings, raised to the k-th power
+by sparse products. Monomials live in sparse exponent-vector maps with
+exact integer coefficients.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 from . import msp
 from .cyclotomic import CyclotomicInt, shift_add_walk
-from .msp import DEFAULT_BUDGET, BudgetExceeded, EvalInstance, msp_value_dp
+from .msp import DEFAULT_BUDGET, BudgetExceeded
 from .partitions import binomial, enumerate_partitions, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
@@ -265,22 +267,6 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     for _ in range(k - 1):
         result = result * det
     return result
-
-
-def coefficient(n: int, k: int, parts) -> int:
-    """Coefficient of the monomial indexed by `parts` in the k-fold expansion.
-
-    Serves from a cached expansion when one exists, otherwise evaluates
-    the matching orbit-sum value directly; the two routes agree (that is
-    one of the machine-checked identities).
-    """
-    parts = tuple(sorted(parts))
-    if len(parts) != k * n or not all(1 <= p <= n for p in parts):
-        raise ValueError(f"partition must have {k * n} parts in 1..{n}")
-    cached = _expansions.get((n, k))
-    if cached is not None:
-        return cached.coefficient(exponent_key(parts, n))
-    return msp_value_dp(EvalInstance(parts, n, k))
 
 
 class TermCount(NamedTuple):

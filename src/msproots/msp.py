@@ -209,45 +209,6 @@ def scale_partition(parts, l: int, n: int) -> tuple:
     return canonical_residues([l * p for p in parts], n)
 
 
-def elementary_symmetric(r: int, points, one=1):
-    """e_r of the given points, over any commutative ring.
-
-    Sequential update: after consuming x the table entry e_j becomes
-    e_j + e_(j-1) * x. Points and `one` only need + and *; plain ints
-    and cyclotomic integers both work. e_0 is one and
-    e_r vanishes beyond the number of points.
-    """
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    zero = one * 0
-    table = [one] + [zero] * r
-    top = 0
-    for x in points:
-        if top < r:
-            top += 1
-        for j in range(top, 0, -1):
-            table[j] = table[j] + table[j - 1] * x
-    return table[r]
-
-
-def e_product(parts, points, one=1):
-    """Product of elementary_symmetric(part, points) over all parts (e_0 = one)."""
-    out = one
-    for p in parts:
-        out = out * elementary_symmetric(p, points, one=one)
-    return out
-
-
-def power_sum(r: int, points, one=1):
-    """Sum of x^r over the points; equals the single-row orbit sum."""
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    total = one * 0
-    for x in points:
-        total = total + x ** r
-    return total
-
-
 def closed_form_value(inst: EvalInstance):
     """Try the closed forms in turn; returns (value, form_name) or None.
 

@@ -1,4 +1,4 @@
-"""Bounded partitions, their partial orders, and exact counting utilities.
+"""Bounded partitions and exact counting utilities.
 
 Partitions are plain tuples of integers sorted nondecreasing. Parts of
 the standard index family lie in 1..n; the zero-padded family allows 0.
@@ -8,7 +8,6 @@ them alike.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb, gcd
 
@@ -103,40 +102,6 @@ def residues_merge_free(parts, n: int) -> bool:
     """
     distinct = set(parts)
     return len({p % n for p in distinct}) == len(distinct)
-
-
-def multiplicities(parts) -> Counter:
-    """Counter of how many times each part value occurs."""
-    return Counter(parts)
-
-
-def triangle_order(lam, mu) -> bool:
-    """Multiset containment: every value occurs in `mu` at least as often as in `lam`."""
-    need = Counter(lam)
-    have = Counter(mu)
-    return all(have[v] >= c for v, c in need.items())
-
-
-def remove_parts(mu, lam) -> tuple:
-    """Multiset difference mu minus lam, sorted; the pair must be comparable."""
-    if not triangle_order(lam, mu):
-        raise ValueError(f"{tuple(lam)} is not contained in {tuple(mu)} part-for-part")
-    left = Counter(mu)
-    left.subtract(lam)
-    out = []
-    for v in sorted(left):
-        out.extend([v] * left[v])
-    return tuple(out)
-
-
-def inclusion_order(lam, mu) -> bool:
-    """Componentwise comparison, left-padding the shorter tuple with zeros."""
-    a, b = tuple(lam), tuple(mu)
-    if len(a) < len(b):
-        a = (0,) * (len(b) - len(a)) + a
-    elif len(b) < len(a):
-        b = (0,) * (len(a) - len(b)) + b
-    return all(x <= y for x, y in zip(a, b))
 
 
 def invariant_dimension(n: int, m: int) -> int:

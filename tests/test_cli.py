@@ -188,6 +188,17 @@ def test_conjecture_command():
     assert code == 3 and out == "" and "budget" in err
 
 
+def test_conjecture_tsv_is_one_row_then_the_zeros():
+    code, out, _ = run_cli(["conjecture", "--n", "6", "--format", "tsv"])
+    assert code == 0
+    head, *zeros = out.splitlines()
+    assert head.split("\t") == ["6", "1", "80", "12", "False", "True"]
+    assert len(zeros) == 12
+    for line in zeros:
+        parts = [int(p) for p in line.split(",")]
+        assert len(parts) == 6 and sum(parts) % 6 == 0, line
+
+
 def test_eval_methods_agree_across_family():
     for lam in ("1,1,1", "1,1,2", "1,2,2", "1,2,3", "2,2,2", "1,3,3", "3,3,3"):
         seen = set()

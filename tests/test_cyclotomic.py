@@ -1,6 +1,5 @@
 import cmath
 import random
-from math import gcd
 
 import pytest
 
@@ -9,7 +8,6 @@ from msproots.cyclotomic import (
     IntegralityViolation,
     _divmod_monic,
     cyclotomic_poly,
-    root_power,
     shift_add_walk,
 )
 from msproots.partitions import euler_phi
@@ -59,93 +57,30 @@ def test_cyclotomic_poly_rejects_nonpositive():
         cyclotomic_poly(0)
 
 
-def test_root_power_basics():
-    assert root_power(3, 0) == 1
-    assert root_power(3, 4) == root_power(3, 1)
-    assert root_power(2, 1) == -1  # forced by x + 1
-    with pytest.raises(ValueError):
-        root_power(0, 1)
-
-
-def test_root_power_exponents_add():
-    for n in (2, 3, 4, 6):
-        for e in range(n):
-            for f in range(n):
-                assert root_power(n, e) * root_power(n, f) == root_power(n, e + f)
-
-
-def test_root_power_multiplicative_order():
-    for n in range(1, 13):
-        for e in range(n):
-            z = root_power(n, e)
-            order = 1
-            acc = z
-            while not (acc - 1).is_zero():
-                acc = acc * z
-                order += 1
-            assert order == n // gcd(e, n), (n, e)
-
-
-def test_arithmetic_examples():
-    assert (root_power(2, 1) + 1).is_zero()
-    assert root_power(3, 1) * root_power(3, 2) == 1
-    total = CyclotomicInt(3)
-    for j in range(1, 4):
-        total = total + root_power(3, j)
-    assert total.is_zero()
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        root_power(2, 1) + root_power(3, 1)
-    with pytest.raises(ValueError):
-        root_power(2, 1) * root_power(3, 1)
+def test_constructor_validation():
+    assert repr(CyclotomicInt(3, [1, 0, 2])) == "CyclotomicInt(3, [1, 0, 2])"
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        CyclotomicInt(0, ())
+    with pytest.raises(ValueError, match="expected 3 coefficients, got 2"):
+        CyclotomicInt(3, (1, 2))
 
 
 def test_canonical_form_examples():
-    assert CyclotomicInt(5).canonical_form() == (0, 0, 0, 0)
-    assert (root_power(4, 1) ** 2).canonical_form() == (-1, 0)
-    assert (1 + root_power(3, 1) + root_power(3, 2)).canonical_form() == (0, 0)
+    assert CyclotomicInt(5, (0,) * 5).canonical_form() == (0, 0, 0, 0)
+    assert CyclotomicInt(4, (0, 0, 1, 0)).canonical_form() == (-1, 0)  # zeta_4^2
+    assert CyclotomicInt(3, (1, 1, 1)).canonical_form() == (0, 0)  # 1 + zeta_3 + zeta_3^2
 
 
 def test_integer_readout():
-    assert (1 + root_power(2, 1)).is_zero()
-    assert not root_power(3, 1).is_integer()
-    assert (root_power(6, 3) * 3).to_integer() == -3
+    assert not any(CyclotomicInt(2, (1, 1)).canonical_form())  # 1 + zeta_2
+    assert any(CyclotomicInt(3, (0, 1, 0)).canonical_form()[1:])  # zeta_3 is not an integer
+    assert CyclotomicInt(6, (0, 0, 0, 3, 0, 0)).to_integer() == -3  # 3 * zeta_6^3
     with pytest.raises(IntegralityViolation):
-        root_power(3, 1).to_integer()
-
-
-def test_integer_equality_across_orders_and_hash():
-    a = CyclotomicInt.from_int(2, 5)
-    b = CyclotomicInt.from_int(3, 5)
-    assert a == b == 5
-    assert hash(a) == hash(b) == hash(5)
-    assert root_power(4, 1) != root_power(4, 3)
-
-
-def test_power_and_int_mixing():
-    z = root_power(5, 2)
-    assert z ** 0 == 1
-    assert z ** 7 == root_power(5, 14)
-    assert 2 * z - z == z
-    assert (3 - z) + (z - 3) == 0
+        CyclotomicInt(3, (0, 1, 0)).to_integer()
 
 
 def random_value(rng, n):
     return CyclotomicInt(n, [rng.randrange(-9, 10) for _ in range(n)])
-
-
-def test_ring_axioms_on_random_values():
-    rng = random.Random(20240811)
-    for _ in range(200):
-        n = rng.randrange(1, 13)
-        a, b, c = (random_value(rng, n) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
 
 
 def test_zero_test_agrees_with_float_probe():
@@ -158,7 +93,7 @@ def test_zero_test_agrees_with_float_probe():
             # plant exact zeros: multiples of the full root sum vanish for prime n
             if n in (2, 3, 5, 7, 11):
                 a = CyclotomicInt(n, [rng.randrange(-5, 6)] * n)
-        exact = a.is_zero()
+        exact = not any(a.canonical_form())
         seen_zero = seen_zero or exact
         assert exact == (abs(to_complex(a)) < 1e-7), (n, a)
     assert seen_zero

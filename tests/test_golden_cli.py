@@ -39,7 +39,8 @@ RUNS = (
        ["verify", "--suite", "prop21", "--n", "2", "--k", "3"],
        ["verify", "--suite", "lemma24", "--n", "4", "--lambda", "1,2,2,3"],
        ["conjecture", "--n", "6", "--format", "plain"],
-       ["conjecture", "--n", "4", "--k", "2", "--format", "plain"]]
+       ["conjecture", "--n", "4", "--k", "2", "--format", "plain"],
+       ["conjecture", "--n", "6", "--format", "tsv"]]
 )
 
 GOLDEN = {
@@ -101,6 +102,7 @@ GOLDEN = {
     "verify --suite lemma24 --n 4 --lambda 1,2,2,3": "4d8fa41e3c3f45d376ea6b3a05c2b838128e93c8cb7278fb5ae25a1291afa74f",
     "conjecture --n 6 --format plain": "1255169564e247c24c7e5a86e2f158e1658954ce937d8e73aebee5ac28bac327",
     "conjecture --n 4 --k 2 --format plain": "2a186658a9b63ed51f24d815ae4ecd2d5ee8f97a0854fc308082285d9c3a2639",
+    "conjecture --n 6 --format tsv": "38e799e0feafcef87b79b859ec3c144ff6cdf1fec922232384eb1c595a86d632",
 }
 
 

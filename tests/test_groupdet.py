@@ -9,7 +9,6 @@ from msproots import cyclotomic, groupdet, msp
 from msproots.msp import BudgetExceeded, EvalInstance, msp_value_dp
 from msproots.groupdet import (
     MonomialMap,
-    coefficient,
     count_terms,
     dedekind_expand,
     exponent_key,
@@ -132,23 +131,6 @@ def test_dedekind_keys_have_divisible_weight():
     for n, k in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)]:
         for key in dedekind_expand(n, k):
             assert sum((i + 1) * e for i, e in enumerate(key)) % n == 0, (n, k, key)
-
-
-def test_coefficient_routes():
-    assert coefficient(3, 1, (1, 2, 3)) == -3
-    assert coefficient(3, 1, (3, 3, 3)) == 1
-    assert coefficient(2, 1, (1, 2)) == 0
-    with pytest.raises(ValueError):
-        coefficient(3, 1, (1, 2))
-    with pytest.raises(ValueError):
-        coefficient(3, 1, (1, 2, 4))
-
-
-def test_coefficient_delegates_without_cached_expansion():
-    groupdet._expansions.pop((2, 2), None)
-    assert coefficient(2, 2, (1, 1, 2, 2)) == -2  # evaluator route
-    dedekind_expand(2, 2)
-    assert coefficient(2, 2, (1, 1, 2, 2)) == -2  # cached route
 
 
 def test_count_terms_examples():

@@ -4,18 +4,14 @@ from math import comb, factorial, prod
 
 import pytest
 
-from msproots.cyclotomic import root_power
 from msproots.msp import (
     BudgetExceeded,
     EvalInstance,
     closed_form_two_blocks,
     closed_form_value,
-    e_product,
-    elementary_symmetric,
     mansfield_coefficient,
     msp_value_dp,
     msp_value_naive,
-    power_sum,
     prime_nonvanishing,
     reduce_two_distinct,
     scale_partition,
@@ -209,21 +205,6 @@ def test_scale_partition():
     assert dp(scaled, 4, 1) == dp((1, 1, 2, 2), 4, 1)
     with pytest.raises(ValueError):
         scale_partition((1, 2), 2, 4)
-
-
-def test_elementary_symmetric_values():
-    points = [root_power(2, j) for j in range(4)]  # 1, -1, 1, -1
-    assert elementary_symmetric(2, points).to_integer() == -2
-    assert elementary_symmetric(0, points) == 1
-    assert elementary_symmetric(5, points) == 0
-    assert elementary_symmetric(3, [1, 2, 3]) == 6
-    assert e_product((0, 2), points).to_integer() == -2
-
-
-def test_power_sum_is_single_row_orbit():
-    points = [root_power(3, j) for j in range(3)]
-    assert power_sum(2, points).to_integer() == dp((0, 0, 2), 3)
-    assert power_sum(3, points).to_integer() == dp((0, 0, 3), 3) == 3
 
 
 def stabilizer(parts):

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -11,15 +10,11 @@ from msproots.partitions import (
     euler_phi,
     format_partition,
     gcd,
-    inclusion_order,
     invariant_dimension,
     is_prime,
     is_prime_power,
     lambda_tilde_size,
-    multiplicities,
     parse_partition,
-    remove_parts,
-    triangle_order,
 )
 
 
@@ -69,57 +64,6 @@ def test_canonical_residues_idempotent_and_sum_preserving():
         assert all(1 <= p <= n for p in canon)
 
 
-def test_triangle_order_and_removal_examples():
-    assert triangle_order((1, 2, 3), (1, 1, 2, 3, 3, 3))
-    assert remove_parts((1, 1, 2, 3, 3, 3), (1, 2, 3)) == (1, 3, 3)
-    assert not triangle_order((2, 2), (1, 2, 3))
-    assert remove_parts((1, 2, 3), (1, 2, 3)) == ()
-    with pytest.raises(ValueError):
-        remove_parts((1, 2, 3), (2, 2))
-
-
-def submultisets(mu):
-    values = sorted(set(mu))
-    counts = [mu.count(v) for v in values]
-    for pick in product(*(range(c + 1) for c in counts)):
-        out = []
-        for v, take in zip(values, pick):
-            out.extend([v] * take)
-        yield tuple(out)
-
-
-def test_removal_union_roundtrip_exhaustive():
-    for n in range(1, 5):
-        for length in (n, 2 * n):
-            if length > 8:
-                continue
-            for mu in enumerate_partitions(n, length):
-                for lam in submultisets(mu):
-                    assert triangle_order(lam, mu)
-                    rest = remove_parts(mu, lam)
-                    assert len(rest) == len(mu) - len(lam)
-                    assert tuple(sorted(lam + rest)) == mu
-
-
-def test_triangle_order_matches_count_inequality():
-    rng = random.Random(11)
-    for _ in range(500):
-        n = rng.randrange(1, 6)
-        lam = tuple(sorted(rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 7))))
-        mu = tuple(sorted(rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 9))))
-        by_counts = all(
-            sum(1 for p in lam if p == a) <= sum(1 for q in mu if q == a)
-            for a in range(1, n + 1))
-        assert triangle_order(lam, mu) == by_counts
-
-
-def test_inclusion_order():
-    assert inclusion_order((0, 1, 2), (1, 1, 3))
-    assert not inclusion_order((0, 2, 2), (1, 1, 3))
-    assert inclusion_order((1, 2), (1, 2))
-    assert inclusion_order((2, 3), (1, 2, 3))  # left-padded with a zero
-
-
 def test_lambda_tilde_size_examples():
     assert lambda_tilde_size(3, 1) == 4
     assert lambda_tilde_size(2, 1) == 2
@@ -149,13 +93,6 @@ def test_number_theory_helpers():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert [m for m in range(1, 20) if is_prime_power(m)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
-
-
-def test_multiplicities_invariants():
-    lam = (1, 1, 2, 3, 3, 3)
-    counts = multiplicities(lam)
-    assert sum(counts.values()) == len(lam)
-    assert sum(v * c for v, c in counts.items()) == sum(lam)
 
 
 def test_partition_text_round_trip():

@@ -31,6 +31,28 @@ def test_lemma_preconditions():
         check_lemma_2_4(8, (8,) * 8)
 
 
+def test_lemma_failure_reports_both_checks(monkeypatch):
+    """A full sum short of one permutation fails one indicator and the root-power weight."""
+    from msproots import verify
+
+    honest = verify.permutations
+
+    def drop_first_of_full(items):
+        perms = honest(items)
+        if len(items) == 3:  # the n! sum; the (n-1)! sum runs over range(1, 3)
+            next(perms)
+        return perms
+
+    monkeypatch.setattr(verify, "permutations", drop_first_of_full)
+    rep = check_lemma_2_4(3, (1, 2, 3))
+    assert rep.instances_checked == 4
+    assert [f.to_dict() for f in rep.failures] == [
+        {"lambda": "lambda=1,2,3 f=1[t=2 mod 3]", "expected": "3", "actual": "2"},
+        {"lambda": "lambda=1,2,3 f=zeta^t", "expected": "CyclotomicInt(3, [0, 3, 3])",
+         "actual": "CyclotomicInt(3, [0, 3, 2])"},
+    ]
+
+
 def test_lemma_sweep_deterministic():
     a = check_lemma_2_4_sweep(4, samples=10, seed=3)
     b = check_lemma_2_4_sweep(4, samples=10, seed=3)
