@@ -83,6 +83,41 @@ def random_value(rng, n):
     return CyclotomicInt(n, [rng.randrange(-9, 10) for _ in range(n)])
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_root_power_readout(n):
+    """The unit vector at j reads out as zeta_n^j: an integer only for zeta^j = +-1."""
+    for j in range(n):
+        unit = CyclotomicInt(n, [int(e == j) for e in range(n)])
+        cf = unit.canonical_form()
+        assert abs(sum(c * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(cf))
+                   - cmath.exp(2j * cmath.pi * j / n)) < 1e-9, (n, j)
+        if j == 0 or 2 * j == n:
+            assert unit.to_integer() == (1 if j == 0 else -1), (n, j)
+        else:
+            with pytest.raises(IntegralityViolation):
+                unit.to_integer()
+
+
+def test_readout_is_additive():
+    rng = random.Random(20240811)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        a, b = random_value(rng, n), random_value(rng, n)
+        total = CyclotomicInt(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        assert total.canonical_form() == tuple(
+            x + y for x, y in zip(a.canonical_form(), b.canonical_form())), (n, a, b)
+
+
+def test_full_root_sum_reads_out_as_zero():
+    for n in range(2, 13):
+        assert CyclotomicInt(n, (1,) * n).to_integer() == 0, n
+        rng = random.Random(n)
+        a = random_value(rng, n)
+        shifted = CyclotomicInt(n, [c + 7 for c in a.coeffs])
+        assert shifted.canonical_form() == a.canonical_form(), (n, a)
+    assert CyclotomicInt(1, (1,)).to_integer() == 1
+
+
 def test_zero_test_agrees_with_float_probe():
     rng = random.Random(99)
     seen_zero = False

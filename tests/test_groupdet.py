@@ -59,6 +59,15 @@ def test_dedekind_coefficient_example():
     assert dedekind_expand(2, 2).coefficient((2, 2)) == -2
 
 
+def test_dedekind_coefficient_lookup_by_partition():
+    assert dedekind_expand(3, 1).coefficient(exponent_key((1, 2, 3), 3)) == -3
+    assert dedekind_expand(3, 1).coefficient(exponent_key((3, 3, 3), 3)) == 1
+    assert dedekind_expand(2, 1).coefficient(exponent_key((1, 2), 2)) == 0  # odd weight
+    assert dedekind_expand(2, 2).coefficient(exponent_key((1, 1, 2, 2), 2)) == -2
+    with pytest.raises(ValueError):
+        exponent_key((1, 2, 4), 3)
+
+
 def test_dedekind_budget_guard():
     groupdet._expansions.pop((4, 3), None)
     with pytest.raises(BudgetExceeded):

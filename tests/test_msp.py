@@ -56,6 +56,17 @@ def test_dp_examples():
     assert dp((1, 1, 2, 2), 2) == -2
 
 
+def test_single_row_orbit_is_a_power_sum():
+    """Zero parts pad a one-part partition: the value is p_r at the roots, n if n | r else 0."""
+    assert dp((0, 0, 2), 3) == 0
+    assert dp((0, 0, 3), 3) == 3
+    for n in range(1, 6):
+        for r in range(1, 2 * n + 1):
+            expected = n if r % n == 0 else 0
+            assert dp((0,) * (n - 1) + (r,), n) == expected, (n, r)
+            assert naive((0,) * (n - 1) + (r,), n) == expected, (n, r)
+
+
 def test_dp_matches_naive_exhaustively():
     for n, k in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)]:
         for lam in enumerate_partitions(n, k * n, allow_zero=True):
