@@ -26,12 +26,10 @@ from .groupdet import (
     exponent_key,
     key_partition,
     leibniz_determinant,
-    monomial_bound,
     orbit_expand,
     prime_term_count,
 )
 from .msp import (
-    DEFAULT_BUDGET,
     NAIVE_LENGTH_LIMIT,
     BudgetExceeded,
     EvalInstance,
@@ -52,12 +50,11 @@ from .partitions import (
     lambda_tilde_size,
 )
 
-# Sweeps over full partition families are skipped above these sizes so a
-# single suite stays desk-scale; pass an explicit budget to push further.
+# Sweeps over full partition families are skipped above these fixed sizes so
+# a single suite stays desk-scale; the budget does not lift them.
 EXHAUSTIVE_CAP = 2500
 COEFFICIENT_SWEEP_CAP = 650
 PROP21_CAP = 200
-CONJECTURE_DP_CAP = 100_000  # partitions the conjecture's DP route walks one at a time
 LEMMA_PERMUTATION_LIMIT = 7
 
 
@@ -189,7 +186,7 @@ def check_lemma_2_4_sweep(n: int, samples: int = 50, seed: int = 0) -> Verificat
     return VerificationReport("lemma24", n, 1, checked, failures, elapsed)
 
 
-def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationReport:
+def check_prop_2_1(n: int, k: int) -> VerificationReport:
     """Expand both sides of the generating identity and compare term by term.
 
     Left side: the product over variables of (1 - x_i^n)^k, multiplied
@@ -198,10 +195,9 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
     times the evaluated orbit sum. Each side is a dict keyed by exponent
     vector.
     """
-    cap = budget if budget is not None else PROP21_CAP
     padded = binomial(k * n + n, n)
-    if padded > cap:
-        raise BudgetExceeded(f"{padded} zero-padded partitions exceed the cap of {cap}")
+    if padded > PROP21_CAP:
+        raise BudgetExceeded(f"{padded} zero-padded partitions exceed the cap of {PROP21_CAP}")
     t0 = time.perf_counter()
     lhs = {tuple(n * e for e in a): (-1) ** sum(a) * prod(binomial(k, e) for e in a)
            for a in product(range(k + 1), repeat=n)}
@@ -228,14 +224,13 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
     return VerificationReport("prop21", n, k, checked, failures, elapsed)
 
 
-def check_branching(n: int, k: int, l: int, budget: int | None = None) -> VerificationReport:
+def check_branching(n: int, k: int, l: int) -> VerificationReport:
     """Value at k+l versus the sum of split products over contained partitions."""
     if n < 1 or k < 1 or l < 1:
         raise ValueError("n, k and l must be positive")
-    cap = budget if budget is not None else EXHAUSTIVE_CAP
     family_size = binomial((k + l) * n + n - 1, n - 1)
-    if family_size > cap:
-        raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {cap}")
+    if family_size > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {EXHAUSTIVE_CAP}")
     t0 = time.perf_counter()
     failures = []
     checked = 0
@@ -460,28 +455,14 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     Produces evidence for the open question of which orders n >= 2 leave
     no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
-    coefficient is impossible. `budget` caps the monomials or DP states
-    one computation holds: the expansion if its bound fits, else the DP
-    (states <= (k+1)^n by AM-GM) if its partitions fit CONJECTURE_DP_CAP,
-    else BudgetExceeded before any partition is enumerated.
+    coefficient is impossible. The coefficients come from orbit_expand,
+    whose monomial guard raises BudgetExceeded before any partition is
+    enumerated.
     """
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    monomials = monomial_bound(n, k)
-    states = (k + 1) ** n
     t0 = time.perf_counter()
-    if monomials <= budget:
-        expansion = orbit_expand(n, k, budget)
-
-        def value(lam):
-            return expansion.coefficient(exponent_key(lam, n))
-    elif states <= budget and monomials <= CONJECTURE_DP_CAP:
-        def value(lam):
-            return msp_value_dp(EvalInstance(lam, n, k), budget=budget)
-    else:
-        raise BudgetExceeded(f"the expansion may hold {monomials} monomials (budget {budget}); the DP up to {states} "
-                             f"states (budget {budget}) on each of those partitions (cap {CONJECTURE_DP_CAP})")
+    expansion = orbit_expand(n, k, budget)
     total = lambda_tilde_size(n, k)
     zeros = []
     seen = 0
@@ -489,7 +470,7 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
         if sum(lam) % n:
             continue
         seen += 1
-        if value(lam) == 0:
+        if expansion.coefficient(exponent_key(lam, n)) == 0:
             zeros.append(lam)
     if seen != total:
         raise TheoremViolation(f"enumeration found {seen} partitions, formula says {total}")

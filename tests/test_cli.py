@@ -128,6 +128,31 @@ def test_budget_env_override(monkeypatch):
     assert code == 2 and "MSPROOTS_BUDGET" in err
 
 
+def test_explicit_default_budget_matches_omitted(monkeypatch):
+    argv = ["verify", "--suite", "all", "--n", "6", "--format", "plain"]
+    omitted = run_cli(argv)
+    assert omitted[0] == 0 and "skipping prop21" in omitted[2] and "skipping branching" in omitted[2]
+    assert run_cli(argv + ["--budget", "10000000"]) == omitted
+    monkeypatch.setenv("MSPROOTS_BUDGET", "10000000")
+    assert run_cli(argv) == omitted
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (4, 2), (3, 3)])
+def test_conjecture_and_expand_refuse_at_the_same_budget(n, k):
+    from msproots.groupdet import monomial_bound
+
+    bound = monomial_bound(n, k)
+    for budget, want in ((bound - 1, 3), (bound, 0)):
+        outcomes = []
+        for command in ("conjecture", "expand"):
+            code, _, err = run_cli([command, "--n", str(n), "--k", str(k), "--budget", str(budget)])
+            outcomes.append((code, err))
+        assert outcomes[0] == outcomes[1], (budget, outcomes)
+        code, err = outcomes[0]
+        assert code == want, (budget, err)
+        assert (f"expansion may reach {bound} monomials" in err) == (want == 3)
+
+
 def test_verify_single_suite():
     code, out, _ = run_cli(["verify", "--suite", "thm32", "--n", "3", "--k", "1"])
     assert code == 0
@@ -184,7 +209,7 @@ def test_conjecture_command():
     assert code == 2 and out == "" and "n >= 2" in err
     code, out, err = run_cli(["conjecture", "--n", "10", "--k", "2"])
     assert code == 3 and out == "" and "budget" in err
-    code, out, err = run_cli(["conjecture", "--n", "24"])  # 2^24 DP states, over the default budget
+    code, out, err = run_cli(["conjecture", "--n", "24"])  # binom(47, 23) monomials, over the default budget
     assert code == 3 and out == "" and "budget" in err
 
 

@@ -85,8 +85,7 @@ def test_prop21_reports_a_perturbed_value(monkeypatch):
 def test_prop21_budget():
     with pytest.raises(BudgetExceeded):
         check_prop_2_1(5, 2)
-    rep = check_prop_2_1(2, 2, budget=10 ** 6)
-    assert rep.passed
+    assert check_prop_2_1(2, 2).passed
 
 
 def test_branching_small_cases():
@@ -191,14 +190,12 @@ def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_partitions", boom)
     with pytest.raises(BudgetExceeded):
-        explore_conjecture(10, 2)  # binom(29, 9) monomials and partitions, over the budget and the DP cap
+        explore_conjecture(10, 2)  # binom(29, 9) monomials, over the default budget
+    for budget in (10, 100, 461):  # under the 462-monomial bound of (6, 1)
+        with pytest.raises(BudgetExceeded, match="expansion may reach 462 monomials"):
+            explore_conjecture(6, 1, budget=budget)
     with pytest.raises(BudgetExceeded):
-        explore_conjecture(6, 1, budget=10)  # 462 monomials and 2^6 = 64 DP states
-    with pytest.raises(BudgetExceeded):
-        explore_conjecture(24, 1)  # 2^24 DP states exceed the default budget
-    monkeypatch.setattr(verify, "CONJECTURE_DP_CAP", 461)
-    with pytest.raises(BudgetExceeded):
-        explore_conjecture(6, 1, budget=100)  # the DP states fit, the 462 partitions do not
+        explore_conjecture(24, 1)  # binom(47, 23) monomials exceed the default budget
 
 
 def test_explore_conjecture_rejects_trivial_order():
@@ -206,18 +203,6 @@ def test_explore_conjecture_rejects_trivial_order():
         explore_conjecture(1, 1)
     with pytest.raises(ValueError):
         explore_conjecture(1, 3)
-
-
-def test_explore_conjecture_dp_route_matches_expansion(monkeypatch):
-    from msproots import verify
-
-    with monkeypatch.context() as m:
-        m.setattr(verify, "dedekind_expand", None)  # the DP route must not expand
-        m.setattr(verify, "orbit_expand", None)
-        by_dp = explore_conjecture(6, 1, budget=100)  # under the 462-monomial bound
-    by_expansion = explore_conjecture(6, 1)
-    assert by_dp.zero_coefficients == by_expansion.zero_coefficients
-    assert by_dp.total == by_expansion.total == 80
 
 
 def test_conjecture_report_dict():
