@@ -130,14 +130,17 @@ class CyclotomicInt:
         return f"CyclotomicInt({self.order}, {list(self.coeffs)})"
 
 
-def shift_add_walk(rows, caps, n: int) -> dict:
+def shift_add_walk(rows, targets, n: int) -> dict:
     """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
 
     The frontier maps each count vector to a length-n weight vector and
     starts as {zero vector: 1}. Step r raises one entry j of a count
-    vector by one, up to caps[j], and adds its weight rotated by
-    rows[r][j] into the child's weight. The frontier after the last row
-    is returned; every count vector in it sums to len(rows).
+    vector by one and adds its weight rotated by rows[r][j] into the
+    child's weight. Only count vectors that are entrywise <= at least one
+    of the (non-empty list of) targets are kept: for one target that is a
+    cap test per entry, for several a lookup in the set of every vector
+    below some target, built once per call. The frontier after the last
+    row is returned; every count vector in it sums to len(rows).
 
     Inside the walk both vectors are packed into single ints (Kronecker
     substitution). A weight vector has n slots of `width` bits, so a
@@ -145,30 +148,57 @@ def shift_add_walk(rows, caps, n: int) -> dict:
     counts the paths into its count vector, at most the multinomial
     coefficient of that vector, which never exceeds min(L!, m^L) for L
     rows and m entries; `width` holds that bound, so no slot carries into
-    the next. A count vector has one field of `b` bits per entry, enough
-    for max(caps), and the cap test is skipped when no cap can bind.
+    the next. A count vector has one field of `b` bits per entry. With
+    one target the field holds its largest entry, the cap test keeps every
+    entry within it, and the test is skipped when no cap can bind. With
+    several the field also holds one more than the largest target entry,
+    so a child one step past every target never carries into a vector of
+    the down-set.
     """
-    length, m = len(rows), len(caps)
+    length, m = len(rows), len(targets[0])
     width = min(factorial(length), m ** length).bit_length()
     mask = (1 << n * width) - 1
-    b = max(caps, default=0).bit_length()
+    single = len(targets) == 1
+    top = max([c for t in targets for c in t], default=0)
+    b = (top if single else top + 1).bit_length()
     field = (1 << b) - 1
-    binds = any(c < length for c in caps)
+    fields = [b * j for j in range(m)]
+    if single:
+        caps, down = targets[0], None
+        binds = any(c < length for c in caps)
+    else:
+        caps, down = (0,) * m, _down_set(targets, fields, field)
     frontier = {0: 1}
     for shifts in rows:
-        steps = [(1 << b * j, (t % n) * width, (n - t % n) * width, b * j, c)
-                 for j, (t, c) in enumerate(zip(shifts, caps))]
+        steps = [(1 << pos, (t % n) * width, (n - t % n) * width, pos, c)
+                 for t, pos, c in zip(shifts, fields, caps)]
         nxt = {}
         get = nxt.get
-        for state, vec in frontier.items():
-            for one, left, right, pos, cap in steps:
-                if binds and (state >> pos) & field >= cap:
-                    continue
-                child = state + one
-                nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
+        if down is None:
+            for state, vec in frontier.items():
+                for one, left, right, pos, cap in steps:
+                    if binds and (state >> pos) & field >= cap:
+                        continue
+                    child = state + one
+                    nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
+        else:
+            for state, vec in frontier.items():
+                for one, left, right, _, _ in steps:
+                    child = state + one
+                    if child in down:
+                        nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
         frontier = nxt
     slot = (1 << width) - 1
-    fields = [b * j for j in range(m)]
     slots = [width * e for e in range(n)]
     return {tuple([(state >> pos) & field for pos in fields]): [(vec >> pos) & slot for pos in slots]
             for state, vec in frontier.items()}
+
+
+def _down_set(targets, fields, field) -> set:
+    """Every packed count vector entrywise <= some target, by lowering one entry at a time."""
+    level = {sum([c << pos for c, pos in zip(t, fields)]) for t in targets}
+    down = set()
+    while level:
+        down |= level
+        level = {s - (1 << pos) for s in level for pos in fields if (s >> pos) & field} - down
+    return down

@@ -3,10 +3,11 @@
 The determinant of the circulant variable matrix for the cyclic group
 {1, ..., n} (n labels the identity element) is expanded three ways: the
 signed permutation sum, the product of the n character linear forms
-(whose k-fold repetition gives the k-th power), and one orbit-sum value
-per orbit of keys under the affine relabelings, raised to the k-th power
-by sparse products. Monomials live in sparse exponent-vector maps with
-exact integer coefficients.
+(whose k-fold repetition gives the k-th power), and one walk over that
+product pruned to a representative key of each orbit under the affine
+relabelings, whose values fill every orbit and are raised to the k-th
+power by sparse products. Monomials live in sparse exponent-vector maps
+with exact integer coefficients.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from itertools import permutations
 from math import gcd
 from typing import NamedTuple
 
-from . import msp
 from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import DEFAULT_BUDGET, BudgetExceeded
 from .partitions import binomial, enumerate_partitions, is_prime, lambda_tilde_size
@@ -89,7 +89,9 @@ class MonomialMap:
         substitution), where `b` is the bit length of the product's
         degree. No exponent of the product exceeds that degree, so no
         field carries into the next and a key sum is one int add. Each
-        product key is unpacked once, at the end.
+        product key is unpacked once, at the end. A map times itself visits
+        each unordered pair of terms once: c1*c1 for the diagonal and
+        2*c1*c2 for each cross pair.
         """
         if not isinstance(other, MonomialMap):
             return NotImplemented
@@ -102,13 +104,23 @@ class MonomialMap:
         def packed(m):
             return [(sum([e << pos for e, pos in zip(key, fields)]), c) for key, c in m._terms.items()]
 
-        left, right = packed(self), packed(other)
+        left = packed(self)
         out = {}
         get = out.get
-        for k1, c1 in left:
-            for k2, c2 in right:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
+        if other is self:
+            for i, (k1, c1) in enumerate(left):
+                key = k1 + k1
+                out[key] = get(key, 0) + c1 * c1
+                c1 *= 2
+                for k2, c2 in left[i + 1:]:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            right = packed(other)
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
         field = (1 << b) - 1
         return MonomialMap(self.n_vars, degree,
                            {tuple([(key >> pos) & field for pos in fields]): c for key, c in out.items()})
@@ -217,7 +229,7 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
         return cached
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
-    for key, vec in shift_add_walk(rows, (k * n,) * n, n).items():
+    for key, vec in shift_add_walk(rows, [(k * n,) * n], n).items():
         val = CyclotomicInt(n, vec).to_integer()
         if val:
             terms[key] = val
@@ -227,15 +239,18 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
 
 
 def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
-    """The same k-th determinant power as dedekind_expand, from one DP value per orbit.
+    """The same k-th determinant power as dedekind_expand, from one walk over orbit representatives.
 
     By Theorem 3.2 each determinant coefficient is the orbit-sum value of
     its key. The relabelings x_j -> x_(l*j + c), gcd(l, n) = 1, permute
     the keys and multiply the coefficients by (-1)^(c(n-1)): scaling by l
     conjugates the circulant by a permutation matrix, and shifting by c
-    multiplies it by a cyclic shift. So the DP value of the first key of
-    each orbit in lexicographic order, written with its sign to the whole
-    orbit, gives the determinant; the k-th power is k - 1 sparse products.
+    multiplies it by a cyclic shift. So the first key of each orbit in
+    lexicographic order represents it, and one shift-add walk over the
+    determinant's linear forms, kept to the count vectors below some
+    representative, gives every representative's coefficient with one
+    readout each. Each value written with its sign to the whole orbit
+    gives the determinant; the k-th power is k - 1 sparse products.
     Same guard as dedekind_expand; nothing is memoized.
     """
     _check_budget(n, k, budget)
@@ -247,22 +262,24 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
                 for i in range(n):
                     source[(l * (i + 1) + c - 1) % n] = i
                 maps.append((source, -1 if c * (n - 1) % 2 else 1))
-    dp = msp._dp_value.__wrapped__
-    values = {}  # every key seen, zeros included: it is also the seen set
+    orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
+    reps = []
     for lam in enumerate_partitions(n, n):
         if sum(lam) % n:
             continue
         key = exponent_key(lam, n)
-        if key in values:
+        if key in orbit:
             continue
-        parts = tuple(i + 1 for i, e in enumerate(key) if e)
-        value = dp(parts, tuple(e for e in key if e), n)
+        reps.append(key)
         for source, sign in maps:
-            values[tuple([key[i] for i in source])] = sign * value
-    if len(values) != lambda_tilde_size(n, 1):
-        raise AssertionError(f"orbits cover {len(values)} keys, the index-set size is "
+            orbit[tuple([key[i] for i in source])] = key, sign
+    if len(orbit) != lambda_tilde_size(n, 1):
+        raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is "
                              f"{lambda_tilde_size(n, 1)}; arithmetic is broken")
-    det = MonomialMap(n, n, values)
+    rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)]
+    frontier = shift_add_walk(rows, reps, n)
+    values = {key: CyclotomicInt(n, frontier[key]).to_integer() for key in reps}
+    det = MonomialMap(n, n, {key: sign * values[rep] for key, (rep, sign) in orbit.items()})
     result = det
     for _ in range(k - 1):
         result = result * det

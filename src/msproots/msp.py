@@ -107,7 +107,7 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
 @lru_cache(maxsize=None)
 def _dp_value(values, mults, n):
     rows = [[(v * pos) % n for v in values] for pos in range(sum(mults))]
-    (vec,) = shift_add_walk(rows, mults, n).values()
+    (vec,) = shift_add_walk(rows, [mults], n).values()
     return CyclotomicInt(n, vec).to_integer()
 
 

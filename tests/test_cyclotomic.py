@@ -161,14 +161,26 @@ def reference_walk(rows, caps, n):
     return frontier
 
 
+def pruned_reference(rows, targets, n):
+    """reference_walk under the componentwise-max caps, kept to the states <= some target."""
+    caps = tuple(max(col) for col in zip(*targets))
+    return {state: vec for state, vec in reference_walk(rows, caps, n).items()
+            if any(all(c <= t for c, t in zip(state, target)) for target in targets)}
+
+
 def test_shift_add_walk_matches_reference():
     rng = random.Random(5)
     cases = [
-        ([], (0, 3), 4),  # no rows: the zero vector with weight 1
-        ([[]], (), 2),  # no entries to raise: nothing survives the row
-        ([[2, 0, 1]], (1, 1, 1), 3),  # a single row
-        ([[0, 0]] * 6, (6, 6), 1),  # n = 1
-        ([[1, 2]] * 3, (0, 1), 5),  # caps too small to reach the last row
+        ([], [(0, 3)], 4),  # no rows: the zero vector with weight 1
+        ([[]], [()], 2),  # no entries to raise: nothing survives the row
+        ([[2, 0, 1]], [(1, 1, 1)], 3),  # a single row
+        ([[0, 0]] * 6, [(6, 6)], 1),  # n = 1
+        ([[1, 2]] * 3, [(0, 1)], 5),  # caps too small to reach the last row
+        ([[1, 2, 0]] * 3, [(1, 2, 0), (1, 2, 0), (0, 1, 2)], 4),  # duplicate targets
+        ([[3, 1, 2]] * 4, [(1, 1, 1), (2, 1, 1), (0, 3, 1)], 5),  # a target below another
+        ([[1, 1]] * 2, [(0, 0), (2, 0), (1, 1)], 3),  # the zero target
+        ([[0, 0, 0]] * 3, [(3, 0, 0), (1, 1, 1), (0, 2, 1)], 1),  # several targets at n = 1
+        ([[0, 2]] * 2, [(0, 0), (0, 0)], 3),  # only the zero target, twice
     ]
     for _ in range(150):
         n = rng.randrange(1, 13)
@@ -179,6 +191,18 @@ def test_shift_add_walk_matches_reference():
             caps = tuple(rng.randrange(0, length + 1) for _ in range(m))  # caps that bind
         else:
             caps = tuple(rng.randrange(length, length + 3) for _ in range(m))  # caps that never bind
-        cases.append((rows, caps, n))
-    for rows, caps, n in cases:
-        assert shift_add_walk(rows, caps, n) == reference_walk(rows, caps, n), (rows, caps, n)
+        cases.append((rows, [caps], n))
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        m = rng.randrange(1, 5)
+        length = rng.randrange(1, 8)
+        rows = [[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(length)]
+        targets = [tuple(rng.randrange(0, length + 2) for _ in range(m)) for _ in range(rng.randrange(2, 7))]
+        if rng.random() < 0.5:
+            targets.append(rng.choice(targets))  # a duplicate
+        cases.append((rows, targets, n))
+    for rows, targets, n in cases:
+        want = pruned_reference(rows, targets, n)
+        if len(targets) == 1:
+            assert want == reference_walk(rows, targets[0], n)
+        assert shift_add_walk(rows, targets, n) == want, (rows, targets, n)

@@ -95,6 +95,32 @@ def test_orbit_expand_keeps_no_memo():
     assert not groupdet._expansions and msp._dp_value.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("n,k", [(6, 1), (7, 2), (10, 1)])
+def test_orbit_expand_needs_no_dp(monkeypatch, n, k):
+    want = dedekind_expand(n, k)
+    monkeypatch.setattr(msp, "_dp_value", None)
+    assert orbit_expand(n, k) == want
+
+
+def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
+    walks, readouts = [], []
+    walk, readout = groupdet.shift_add_walk, cyclotomic.CyclotomicInt.to_integer
+
+    def counted_walk(rows, targets, n):
+        walks.append(len(targets))
+        return walk(rows, targets, n)
+
+    def counted_readout(value):
+        readouts.append(value.order)
+        return readout(value)
+
+    monkeypatch.setattr(groupdet, "shift_add_walk", counted_walk)
+    monkeypatch.setattr(cyclotomic.CyclotomicInt, "to_integer", counted_readout)
+    assert len(orbit_expand(10, 1)) == 7492
+    assert walks == [268]  # one walk, with one target per orbit
+    assert readouts == [10] * 268
+
+
 def _outcome(fn, n, k, budget):
     try:
         return len(fn(n, k, budget))
@@ -268,6 +294,26 @@ def test_packed_product_prop21_degree_zero_chain():
     lam = (0, 1, 2, 2, 4)
     assert reduce(MonomialMap.__mul__, (es[p] for p in lam if p), es[0]) == reduce(
         _schoolbook_product, (es[p] for p in lam if p), es[0])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_square_matches_schoolbook(n):
+    det = orbit_expand(n, 1)
+    twin = MonomialMap(n, n, dict(det.items()))  # equal to det but not det: the general product
+    square = det * det
+    assert square == _schoolbook_product(det, det) == det * twin
+    assert square.degree == 2 * n
+
+
+def test_square_with_negative_and_odd_coefficients():
+    a = MonomialMap(2, 1, {(1, 0): -3, (0, 1): 5})
+    assert dict((a * a).items()) == {(2, 0): 9, (1, 1): -30, (0, 2): 25}
+    rng = random.Random(44)
+    for n, degree, size, big in [(1, 3, 1, False), (3, 0, 1, True), (3, 4, 12, False),
+                                 (5, 6, 40, False), (4, 5, 30, True)]:
+        m = _random_map(rng, n, degree, size, big)
+        assert any(c < 0 for _, c in m.items()) or len(m) == 1
+        assert m * m == _schoolbook_product(m, m) == m * MonomialMap(n, degree, dict(m.items())), m
 
 
 def _inversion_sign(perm):
