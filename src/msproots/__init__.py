@@ -29,6 +29,7 @@ from .msp import (
     mansfield_coefficient,
     msp_value_dp,
     msp_value_naive,
+    msp_values_dp,
     prime_nonvanishing,
     reduce_two_distinct,
     scale_partition,
@@ -66,7 +67,8 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo the package keeps for the life of the process.
 
-    These are the DP values (`msp._dp_value`), the finished expansions
+    These are the DP values of single-instance calls (`msp._dp_value`;
+    `msp_values_dp` and the verify suites keep none), the finished expansions
     (`groupdet._expansions`), the cyclotomic polynomials and the readout
     tables built from them; all are unbounded, and a long session can
     call this to give their memory back.

@@ -23,6 +23,10 @@ class IntegralityViolation(ArithmeticError):
     """A value that was required to be a rational integer is not one."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation would exceed its configured size guard."""
+
+
 def _divmod_monic(num, den):
     """Quotient and remainder of num by the monic den, exactly over the integers.
 
@@ -130,7 +134,7 @@ class CyclotomicInt:
         return f"CyclotomicInt({self.order}, {list(self.coeffs)})"
 
 
-def shift_add_walk(rows, targets, n: int) -> dict:
+def shift_add_walk(rows, targets, n: int, budget: int | None = None) -> dict:
     """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
 
     The frontier maps each count vector to a length-n weight vector and
@@ -140,7 +144,10 @@ def shift_add_walk(rows, targets, n: int) -> dict:
     of the (non-empty list of) targets are kept: for one target that is a
     cap test per entry, for several a lookup in the set of every vector
     below some target, built once per call. The frontier after the last
-    row is returned; every count vector in it sums to len(rows).
+    row is returned; every count vector in it sums to len(rows). With
+    several targets and a budget, the down-set is counted as it is built
+    and BudgetExceeded is raised once it holds more than `budget` count
+    vectors, before the first row is walked.
 
     Inside the walk both vectors are packed into single ints (Kronecker
     substitution). A weight vector has n slots of `width` bits, so a
@@ -167,7 +174,7 @@ def shift_add_walk(rows, targets, n: int) -> dict:
         caps, down = targets[0], None
         binds = any(c < length for c in caps)
     else:
-        caps, down = (0,) * m, _down_set(targets, fields, field)
+        caps, down = (0,) * m, _down_set(targets, fields, field, budget)
     frontier = {0: 1}
     for shifts in rows:
         steps = [(1 << pos, (t % n) * width, (n - t % n) * width, pos, c)
@@ -194,11 +201,17 @@ def shift_add_walk(rows, targets, n: int) -> dict:
             for state, vec in frontier.items()}
 
 
-def _down_set(targets, fields, field) -> set:
-    """Every packed count vector entrywise <= some target, by lowering one entry at a time."""
+def _down_set(targets, fields, field, budget=None) -> set:
+    """Every packed count vector entrywise <= some target, by lowering one entry at a time.
+
+    Raises BudgetExceeded as soon as the set holds more than `budget` vectors.
+    """
     level = {sum([c << pos for c, pos in zip(t, fields)]) for t in targets}
     down = set()
     while level:
         down |= level
+        if budget is not None and len(down) > budget:
+            raise BudgetExceeded(f"the walk's down-set passes the budget of {budget} DP states; "
+                                 "pass a larger budget to override")
         level = {s - (1 << pos) for s in level for pos in fields if (s >> pos) & field} - down
     return down

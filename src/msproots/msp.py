@@ -20,15 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .cyclotomic import CyclotomicInt, shift_add_walk
+from .cyclotomic import BudgetExceeded, CyclotomicInt, shift_add_walk
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
 DEFAULT_BUDGET = 10_000_000  # the most DP states or monomials one computation may hold
 NAIVE_LENGTH_LIMIT = 9
-
-
-class BudgetExceeded(RuntimeError):
-    """A computation would exceed its configured size guard."""
 
 
 @dataclass(frozen=True)
@@ -92,23 +88,61 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     rearrangement is counted exactly once because equal parts are only
     interchangeable through their shared counter. The state count is
     the product of (multiplicity + 1) over distinct parts and must fit
-    the budget (override via the `budget` argument).
+    the budget (override via the `budget` argument). Values are memoized
+    per (parts, multiplicities, n).
+    """
+    counts = _profile(inst, DEFAULT_BUDGET if budget is None else budget)
+    return _dp_value(tuple(counts), tuple(counts.values()), inst.n)
+
+
+def msp_values_dp(instances, budget: int | None = None) -> list:
+    """msp_value_dp of each instance, from one walk per (n, length).
+
+    The instances of one order and length share their rows, (v*pos) mod n
+    for each part v, so one shift-add walk whose columns are the union of
+    their distinct parts reaches every one of them: each distinct
+    multiplicity vector over those columns is a target of the walk and is
+    read out once. Each instance must fit the budget as in msp_value_dp.
+    A walk's DP states are the count vectors below some target (its
+    down-set), and the walk raises BudgetExceeded before its first row
+    once they pass the budget. The DP memo is neither read nor filled.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    values = tuple(sorted(set(inst.parts)))
-    mults = tuple(inst.parts.count(v) for v in values)
-    states = prod(m + 1 for m in mults)
+    profiles = [((inst.n, len(inst.parts)), _profile(inst, budget)) for inst in instances]
+    columns = {}
+    for group, counts in profiles:
+        columns.setdefault(group, set()).update(counts)
+    columns = {group: sorted(parts) for group, parts in columns.items()}
+    # per instance: its group and its multiplicity vector over the group's columns
+    keys = [(group, tuple([counts.get(v, 0) for v in columns[group]])) for group, counts in profiles]
+    targets = {}
+    for group, vec in keys:
+        targets.setdefault(group, {})[vec] = None
+    read = {group: _walk_values(columns[group], list(vecs), group[0], budget)
+            for group, vecs in targets.items()}
+    return [read[group][vec] for group, vec in keys]
+
+
+def _profile(inst, budget) -> dict:
+    """The multiplicity of each distinct part, in increasing order, once the state count fits the budget."""
+    counts = {v: inst.parts.count(v) for v in sorted(set(inst.parts))}
+    states = prod(m + 1 for m in counts.values())
     if states > budget:
         raise BudgetExceeded(f"{states} DP states exceed the budget of {budget}; pass a larger budget to override")
-    return _dp_value(values, mults, inst.n)
+    return counts
+
+
+def _walk_values(columns, targets, n, budget=None) -> dict:
+    """One shift-add walk with a column per part, read out at each target multiplicity vector."""
+    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
+    frontier = shift_add_walk(rows, targets, n, budget)
+    return {t: CyclotomicInt(n, frontier[t]).to_integer() for t in targets}
 
 
 @lru_cache(maxsize=None)
 def _dp_value(values, mults, n):
-    rows = [[(v * pos) % n for v in values] for pos in range(sum(mults))]
-    (vec,) = shift_add_walk(rows, [mults], n).values()
-    return CyclotomicInt(n, vec).to_integer()
+    return _walk_values(values, [mults], n)[mults]
 
 
 def closed_form_two_blocks(lambda1: int, a: int, n: int, k: int) -> int:

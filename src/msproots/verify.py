@@ -30,13 +30,15 @@ from .groupdet import (
     prime_term_count,
 )
 from .msp import (
+    DEFAULT_BUDGET,
     NAIVE_LENGTH_LIMIT,
     BudgetExceeded,
     EvalInstance,
     closed_form_two_blocks,
     mansfield_coefficient,
-    msp_value_dp,
+    msp_value_dp,  # noqa: F401  (still importable from here: the benchmark's tests read it)
     msp_value_naive,
+    msp_values_dp,
     prime_nonvanishing,
     reduce_two_distinct,
     scale_partition,
@@ -132,8 +134,14 @@ class ConjectureReport:
         }
 
 
-def _value(parts, n, k):
-    return msp_value_dp(EvalInstance(tuple(parts), n, k))
+def _values(lams, n, k) -> dict:
+    """The value at (n, k) of every listed partition, keyed by its sorted parts.
+
+    All of them come from one msp_values_dp call, so a suite's partitions
+    share one walk per length.
+    """
+    distinct = list(dict.fromkeys(tuple(sorted(lam)) for lam in lams))
+    return dict(zip(distinct, msp_values_dp([EvalInstance(lam, n, k) for lam in distinct])))
 
 
 def check_lemma_2_4(n: int, parts) -> VerificationReport:
@@ -203,13 +211,11 @@ def check_prop_2_1(n: int, k: int) -> VerificationReport:
            for a in product(range(k + 1), repeat=n)}
     es = [MonomialMap(n, r, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), r)})
           for r in range(n + 1)]
+    lams = [lam for lam in enumerate_partitions(n, k * n, allow_zero=True) if sum(lam) % n == 0]
+    values = _values(lams, n, k)
     rhs = {}
-    checked = 0
-    for lam in enumerate_partitions(n, k * n, allow_zero=True):
-        if sum(lam) % n:
-            continue
-        checked += 1
-        value = _value(lam, n, k)
+    for lam in lams:
+        value = values[lam]
         if value == 0:
             continue
         signed = (-1) ** sum(lam) * value
@@ -221,7 +227,7 @@ def check_prop_2_1(n: int, k: int) -> VerificationReport:
         if a != b:
             failures.append(Failure(f"monomial exponents={','.join(map(str, key))}", str(a), str(b)))
     elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("prop21", n, k, checked, failures, elapsed)
+    return VerificationReport("prop21", n, k, len(lams), failures, elapsed)
 
 
 def check_branching(n: int, k: int, l: int) -> VerificationReport:
@@ -232,26 +238,28 @@ def check_branching(n: int, k: int, l: int) -> VerificationReport:
     if family_size > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {EXHAUSTIVE_CAP}")
     t0 = time.perf_counter()
+    mus = list(enumerate_partitions(n, (k + l) * n))
+    # the split halves of all mu at powers k and l are the whole families at those powers
+    values = {p: _values(enumerate_partitions(n, p * n), n, p) for p in {k, l}}
+    values[k + l] = _values(mus, n, k + l)
     failures = []
-    checked = 0
-    for mu in enumerate_partitions(n, (k + l) * n):
-        checked += 1
-        direct = _value(mu, n, k + l)
+    for mu in mus:
+        direct = values[k + l][mu]
         counts = Counter(mu)
-        values = sorted(counts)
+        parts = sorted(counts)
         total = 0
-        for pick in product(*(range(counts[v] + 1) for v in values)):
+        for pick in product(*(range(counts[v] + 1) for v in parts)):
             if sum(pick) != k * n:
                 continue
             lam, rest = [], []
-            for v, take in zip(values, pick):
+            for v, take in zip(parts, pick):
                 lam.extend([v] * take)
                 rest.extend([v] * (counts[v] - take))
-            total += _value(lam, n, k) * _value(rest, n, l)
+            total += values[k][tuple(lam)] * values[l][tuple(rest)]
         if direct != total:
             failures.append(Failure(f"mu={format_partition(mu)}", str(direct), str(total)))
     elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("branching", n, k, checked, failures, elapsed, l=l)
+    return VerificationReport("branching", n, k, len(mus), failures, elapsed, l=l)
 
 
 def check_thm11(n: int, k: int) -> VerificationReport:
@@ -260,45 +268,49 @@ def check_thm11(n: int, k: int) -> VerificationReport:
     kn = k * n
     sections = {}
     failures = []
-
-    if k == 1 and is_prime(n):
-        cnt = 0
-        for lam in enumerate_partitions(n, n):
-            cnt += 1
-            nonzero = _value(lam, n, 1) != 0
-            want = prime_nonvanishing(lam, n)
-            if nonzero != want:
-                failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
-                                        f"nonzero={want}", f"nonzero={nonzero}"))
-        sections["prime_equivalence"] = cnt
-
-    cnt = 0
-    for lam1 in range(1, n):
-        for a in range(kn + 1):
-            lam = (lam1,) * a + (n,) * (kn - a)
-            got = _value(lam, n, k)
-            want = closed_form_two_blocks(lam1, a, n, k)
-            cnt += 1
-            if got != want:
-                failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", str(want), str(got)))
-            elif sum(lam) % n == 0 and want == 0:
-                failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", "nonzero", "0"))
-    sections["two_block_closed_form"] = cnt
-
-    cnt = 0
+    prime = k == 1 and is_prime(n)
+    states = binomial(2 * n, n)  # the family's walk holds every count vector of sum <= n
+    if prime and states > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"the prime family's walk would hold {states} DP states, "
+                             f"over the budget of {DEFAULT_BUDGET}")
+    family = list(enumerate_partitions(n, n)) if prime else []
+    blocks = [(lam1, a, (lam1,) * a + (n,) * (kn - a)) for lam1 in range(1, n) for a in range(kn + 1)]
+    pairs = []
     for lam1 in range(1, n + 1):
         for lam2 in range(1, n + 1):
             if (lam2 - lam1) % n == 0:
                 continue
             for a in range(kn + 1):
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
-                got = _value((lam1,) * a + (lam2,) * (kn - a), n, k)
-                want = sign * msp_value_dp(reduced)
-                cnt += 1
-                if got != want:
-                    failures.append(Failure(f"thm11_3 lambda1={lam1} lambda2={lam2} a={a}",
-                                            str(want), str(got)))
-    sections["two_distinct_reduction"] = cnt
+                lam = tuple(sorted((lam1,) * a + (lam2,) * (kn - a)))
+                pairs.append((lam1, lam2, a, lam, sign, reduced.parts))
+    values = _values(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs], n, k)
+
+    if prime:
+        for lam in family:
+            nonzero = values[lam] != 0
+            want = prime_nonvanishing(lam, n)
+            if nonzero != want:
+                failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
+                                        f"nonzero={want}", f"nonzero={nonzero}"))
+        sections["prime_equivalence"] = len(family)
+
+    for lam1, a, lam in blocks:
+        got = values[lam]
+        want = closed_form_two_blocks(lam1, a, n, k)
+        if got != want:
+            failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", str(want), str(got)))
+        elif sum(lam) % n == 0 and want == 0:
+            failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", "nonzero", "0"))
+    sections["two_block_closed_form"] = len(blocks)
+
+    for lam1, lam2, a, lam, sign, reduced in pairs:
+        got = values[lam]
+        want = sign * values[reduced]
+        if got != want:
+            failures.append(Failure(f"thm11_3 lambda1={lam1} lambda2={lam2} a={a}",
+                                    str(want), str(got)))
+    sections["two_distinct_reduction"] = len(pairs)
 
     elapsed = (time.perf_counter() - t0) * 1000
     return VerificationReport("thm11", n, k, sum(sections.values()), failures, elapsed, sections=sections)
@@ -321,43 +333,43 @@ def check_thm12(n: int, k: int) -> VerificationReport:
     if kn >= 3:
         candidates += [(u, v, w)
                        for u in range(1, n) for v in range(u, n) for w in range(v, n)]
-    cnt = 0
+    patterns = []
     for low in candidates:
         lam = low + (n,) * (kn - len(low))
-        inst = EvalInstance(lam, n, k)
-        want = mansfield_coefficient(inst)
-        if want is None:
-            continue
-        got = msp_value_dp(inst)
-        cnt += 1
+        want = mansfield_coefficient(EvalInstance(lam, n, k))
+        if want is not None:
+            patterns.append((lam, want))
+    exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
+    family = list(enumerate_partitions(n, kn)) if exhaustive else []
+    values = _values([lam for lam, _ in patterns] + family, n, k)  # unit scaling keeps to the family
+
+    for lam, want in patterns:
+        got = values[lam]
         if got != want or want == 0:
             failures.append(Failure(f"thm12_pattern lambda={format_partition(lam)}",
                                     f"{want} (nonzero)", str(got)))
-    sections["near_identity_patterns"] = cnt
+    sections["near_identity_patterns"] = len(patterns)
 
-    family_size = binomial(kn + n - 1, n - 1)
-    if family_size <= EXHAUSTIVE_CAP:
+    if exhaustive:
         cnt = 0
-        for lam in enumerate_partitions(n, kn):
+        for lam in family:
             if sum(lam) % n == 0:
                 continue
             cnt += 1
-            val = _value(lam, n, k)
+            val = values[lam]
             if val != 0:
                 failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(val)))
         sections["vanishing_off_residue"] = cnt
 
         units = [l for l in range(2, n + 1) if gcd(l, n) == 1]
-        cnt = 0
-        for lam in enumerate_partitions(n, kn):
-            base = _value(lam, n, k)
+        for lam in family:
+            base = values[lam]
             for l in units:
-                got = _value(scale_partition(lam, l, n), n, k)
-                cnt += 1
+                got = values[scale_partition(lam, l, n)]
                 if got != base:
                     failures.append(Failure(f"thm12_8 lambda={format_partition(lam)} l={l}",
                                             str(base), str(got)))
-        sections["unit_scaling"] = cnt
+        sections["unit_scaling"] = len(family) * len(units)
 
     elapsed = (time.perf_counter() - t0) * 1000
     return VerificationReport("thm12", n, k, sum(sections.values()), failures, elapsed, sections=sections)
@@ -396,15 +408,15 @@ def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport
         if len(lams) != tilde:
             raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
         run_naive = k * n <= NAIVE_LENGTH_LIMIT
+        values = _values(lams, n, k)
         for lam in lams:
-            inst = EvalInstance(lam, n, k)
-            dp = msp_value_dp(inst)
+            dp = values[lam]
             coeff = expansion.coefficient(exponent_key(lam, n))
             if dp != coeff:
                 failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
                                         str(coeff), str(dp)))
             if run_naive:
-                naive = msp_value_naive(inst)
+                naive = msp_value_naive(EvalInstance(lam, n, k))
                 if naive != dp:
                     failures.append(Failure(f"thm32_naive lambda={format_partition(lam)}",
                                             str(dp), str(naive)))

@@ -1,8 +1,10 @@
 """Every evaluator gives the same value on every instance the API accepts."""
+import random
+
 import pytest
 
 from msproots.groupdet import dedekind_expand, exponent_key, orbit_expand
-from msproots.msp import EvalInstance, closed_form_value, msp_value_dp, msp_value_naive
+from msproots.msp import EvalInstance, closed_form_value, msp_value_dp, msp_value_naive, msp_values_dp
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -35,3 +37,50 @@ def test_evaluators_agree(inst):
         assert dedekind_expand(n, inst.k).coefficient(key) == value
         if n <= 6:
             assert orbit_expand(n, inst.k).coefficient(key) == value
+
+
+# parts 0, negative and above n; one length at three orders; n = 1 at two lengths; a repeat
+EDGE_BATCH = [
+    EvalInstance((0, 0, 1, 5, -1, 2), 3, 2),
+    EvalInstance((0, 1, 2, 3, 4, 5), 6, 1),
+    EvalInstance((1, 1, 2, 2, -2, 7), 2, 3),
+    EvalInstance((0, -3), 1, 2),
+    EvalInstance((4,), 1, 1),
+    EvalInstance((1, 4, 4), 3, 1),
+    EvalInstance((1, 2, 3), 3, 1),
+    EvalInstance((1, 2, 3), 3, 1),
+]
+
+
+def random_batch(rng):
+    """Instances over mixed orders and lengths, parts drawn from a small pool in -n..2n,
+    with an n = 1 instance and repeated instances. Naive-sized whenever n <= 6."""
+    batch = []
+    for _ in range(rng.randint(2, 12)):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, max(1, (9 if n <= 6 else 16) // n))
+        pool = [rng.randint(-n, 2 * n) for _ in range(rng.randint(1, 4))]
+        batch.append(EvalInstance(tuple(rng.choice(pool) for _ in range(k * n)), n, k))
+    k = rng.randint(1, 4)
+    batch.append(EvalInstance(tuple(rng.randint(-2, 2) for _ in range(k)), 1, k))
+    batch += rng.sample(batch, 2)
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_batched_values_agree(seed):
+    batch = random_batch(random.Random(seed))
+    values = msp_values_dp(batch)
+    assert values == [msp_value_dp(inst) for inst in batch]
+    for inst, value in zip(batch, values):
+        if inst.n <= 6:
+            assert msp_value_naive(inst) == value, inst
+
+
+def test_batched_values_edge_batches():
+    assert msp_values_dp([]) == []
+    for inst in EDGE_BATCH:
+        assert msp_values_dp([inst]) == [msp_value_dp(inst)]
+    want = [msp_value_naive(inst) for inst in EDGE_BATCH]
+    assert msp_values_dp(EDGE_BATCH) == [msp_value_dp(inst) for inst in EDGE_BATCH] == want

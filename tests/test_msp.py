@@ -12,6 +12,7 @@ from msproots.msp import (
     mansfield_coefficient,
     msp_value_dp,
     msp_value_naive,
+    msp_values_dp,
     prime_nonvanishing,
     reduce_two_distinct,
     scale_partition,
@@ -91,6 +92,37 @@ def test_dp_budget_guard():
     inst = EvalInstance((1, 2, 3, 4), 4, 1)
     with pytest.raises(BudgetExceeded):
         msp_value_dp(inst, budget=3)
+
+
+def test_batch_budget_guard_matches_single():
+    inst = EvalInstance((1, 2, 3, 4), 4, 1)
+    with pytest.raises(BudgetExceeded) as single:
+        msp_value_dp(inst, budget=15)
+    with pytest.raises(BudgetExceeded) as batch:
+        msp_values_dp([EvalInstance((1, 1, 1, 1), 4, 1), inst], budget=15)
+    assert str(single.value) == str(batch.value) == \
+        "16 DP states exceed the budget of 15; pass a larger budget to override"
+
+
+def test_batch_down_set_guard_raises_before_the_walk(monkeypatch):
+    from msproots import msp
+
+    walked = []
+    walk = msp.shift_add_walk
+
+    class Rows(list):
+        def __iter__(self):
+            walked.append(len(self))
+            return super().__iter__()
+
+    batch = [EvalInstance((1, 1, 2, 2), 4, 1), EvalInstance((3, 3, 4, 4), 4, 1)]  # 9 states each, 17 together
+    want = [msp_value_dp(inst) for inst in batch]
+    monkeypatch.setattr(msp, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
+    with pytest.raises(BudgetExceeded, match="down-set passes the budget of 16 DP states"):
+        msp_values_dp(batch, budget=16)
+    assert walked == []
+    assert msp_values_dp(batch, budget=17) == want
+    assert walked == [4]
 
 
 def test_two_block_closed_form_examples():

@@ -66,20 +66,57 @@ def test_prop21_small_cases():
         assert rep.passed, (n, k, rep.failures[:2])
 
 
-def test_prop21_reports_a_perturbed_value(monkeypatch):
+def perturb(monkeypatch, target):
+    """Make verify._values return the value of `target` (sorted parts) off by one."""
     from msproots import verify
 
-    honest = verify._value
+    honest = verify._values
+
+    def off_by_one(lams, n, k):
+        values = honest(lams, n, k)
+        if target in values:
+            values[target] += 1
+        return values
+
+    monkeypatch.setattr(verify, "_values", off_by_one)
+
+
+def test_prop21_reports_a_perturbed_value(monkeypatch):
     # one lambda per (n, k) whose part sum is divisible by n
     for n, k, target in [(3, 1, (1, 2, 3)), (3, 2, (0, 0, 1, 1, 2, 2)), (2, 3, (0, 1, 1, 2, 2, 2))]:
-        def off_by_one(parts, n, k, target=target):
-            value = honest(parts, n, k)
-            return value + 1 if tuple(sorted(parts)) == target else value
-
-        monkeypatch.setattr(verify, "_value", off_by_one)
+        perturb(monkeypatch, target)
         rep = check_prop_2_1(n, k)
         assert not rep.passed, (n, k)
         assert all(f.instance.startswith("monomial exponents=") for f in rep.failures)
+        # e_lambda's leading monomial has the conjugate partition as its exponents
+        conjugate = [sum(1 for p in target if p > i) for i in range(n)]
+        assert f"monomial exponents={','.join(map(str, conjugate))}" in [f.instance for f in rep.failures]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("check,args,target,named", [
+    (check_thm11, (3, 1), (1, 1, 2), "thm11_1 lambda=1,1,2"),
+    (check_thm12, (4, 1), (1, 4, 4, 4), "thm12_6 lambda=1,4,4,4"),
+    (check_thm12, (5, 1), (1, 4, 5, 5, 5), "thm12_pattern lambda=1,4,5,5,5"),
+    (check_thm32, (3, 1), (1, 2, 3), "thm32_coefficient lambda=1,2,3"),
+    (check_branching, (2, 1, 1), (1, 1, 2, 2), "mu=1,1,2,2"),
+])
+def test_suites_report_a_perturbed_value(monkeypatch, check, args, target, named):
+    assert check(*args).passed
+    perturb(monkeypatch, target)
+    rep = check(*args)
+    assert named in [f.instance for f in rep.failures], rep.failures
+
+
+def test_suites_keep_no_dp_memo():
+    import msproots
+    from msproots import msp
+
+    msproots.clear_caches()
+    for check, args in [(check_thm11, (5, 1)), (check_thm12, (4, 2)), (check_thm32, (4, 1)),
+                        (check_branching, (3, 1, 1)), (check_prop_2_1, (3, 1))]:
+        assert check(*args).passed
+    assert msp._dp_value.cache_info().currsize == 0
 
 
 def test_prop21_budget():
@@ -196,6 +233,17 @@ def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
             explore_conjecture(6, 1, budget=budget)
     with pytest.raises(BudgetExceeded):
         explore_conjecture(24, 1)  # binom(47, 23) monomials exceed the default budget
+
+
+def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
+    from msproots import verify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("partitions enumerated before the budget check")
+
+    monkeypatch.setattr(verify, "enumerate_partitions", boom)
+    with pytest.raises(BudgetExceeded, match="10400600 DP states"):
+        check_thm11(13, 1)  # binom(26, 13) count vectors of sum <= 13
 
 
 def test_explore_conjecture_rejects_trivial_order():
