@@ -122,9 +122,9 @@ def _cmd_count(args) -> int:
 def _run_suite(name, args):
     budget = _budget(args)
     if name == "thm11":
-        return checks.check_thm11(args.n, args.k)
+        return checks.check_thm11(args.n, args.k, budget=budget)
     if name == "thm12":
-        return checks.check_thm12(args.n, args.k)
+        return checks.check_thm12(args.n, args.k, budget=budget)
     if name == "thm32":
         return checks.check_thm32(args.n, args.k, budget=budget)
     if name == "lemma24":
@@ -132,9 +132,9 @@ def _run_suite(name, args):
             return checks.check_lemma_2_4(args.n, parse_partition(args.lam))
         return checks.check_lemma_2_4_sweep(args.n)
     if name == "prop21":
-        return checks.check_prop_2_1(args.n, args.k)
+        return checks.check_prop_2_1(args.n, args.k, budget=budget)
     if name == "branching":
-        return checks.check_branching(args.n, args.k, args.l)
+        return checks.check_branching(args.n, args.k, args.l, budget=budget)
     raise ValueError(f"unknown suite {name!r}")
 
 
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=_positive, default=1, help="power / multiplicity (default 1)")
         p.add_argument("--format", choices=("json", "tsv", "plain"), default="json")
         p.add_argument("--budget", type=_positive, default=None,
-                       help="most DP states (eval) or monomials (expand, count, conjecture, "
-                            "verify thm32/all) one computation may hold; it does not lift the "
+                       help="most DP states (eval, verify) or monomials (expand, count, "
+                            "conjecture, verify thm32) one computation may hold; it does not lift the "
                             f"fixed sweep caps (default also via ${BUDGET_ENV})")
 
     p = sub.add_parser("eval", help="evaluate one partition")

@@ -134,44 +134,53 @@ class CyclotomicInt:
         return f"CyclotomicInt({self.order}, {list(self.coeffs)})"
 
 
-def shift_add_walk(rows, targets, n: int, budget: int | None = None) -> dict:
+def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
 
     The frontier maps each count vector to a length-n weight vector and
     starts as {zero vector: 1}. Step r raises one entry j of a count
     vector by one and adds its weight rotated by rows[r][j] into the
     child's weight. Only count vectors that are entrywise <= at least one
-    of the (non-empty list of) targets are kept: for one target that is a
-    cap test per entry, for several a lookup in the set of every vector
-    below some target, built once per call. The frontier after the last
-    row is returned; every count vector in it sums to len(rows). With
-    several targets and a budget, the down-set is counted as it is built
-    and BudgetExceeded is raised once it holds more than `budget` count
-    vectors, before the first row is walked.
+    of the (non-empty list of) targets are kept. For one target that is a
+    cap test per entry. For several it is a lookup in the set of every
+    vector below some target (the down-set), built once per call, unless
+    the targets are every vector of sum len(rows) below their entrywise
+    maximum: then their down-set is every vector of sum <= len(rows)
+    below that maximum, and a cap test per entry keeps the same vectors
+    without the set. The frontier after the last row is returned as an
+    iterator of (count vector, weight vector) pairs, unpacked one pair at
+    a time as it is read; every count vector in it sums to len(rows). The
+    walk itself is done before the call returns. With several targets and
+    a budget, BudgetExceeded is raised before the first row once the
+    down-set holds more than `budget` count vectors; a down-set that is
+    built is counted as it grows.
 
     Inside the walk both vectors are packed into single ints (Kronecker
     substitution). A weight vector has n slots of `width` bits, so a
     rotation is two shifts and a mask and an add is one int add. A slot
     counts the paths into its count vector, at most the multinomial
     coefficient of that vector, which never exceeds min(L!, m^L) for L
-    rows and m entries; `width` holds that bound, so no slot carries into
-    the next. A count vector has one field of `b` bits per entry. With
-    one target the field holds its largest entry, the cap test keeps every
-    entry within it, and the test is skipped when no cap can bind. With
-    several the field also holds one more than the largest target entry,
-    so a child one step past every target never carries into a vector of
-    the down-set.
+    rows when every kept vector has at most m nonzero entries. A kept
+    vector lies below a target, so m is the most nonzero entries of any
+    target; `width` holds that bound, so no slot carries into the next.
+    A count vector has one field of `b` bits per entry. Under a cap test
+    the field holds the largest cap, the test keeps every entry within
+    it, and it is skipped when no cap can bind. With a down-set the field
+    also holds one more than the largest target entry, so a child one
+    step past every target never carries into a vector of the down-set.
     """
     length, m = len(rows), len(targets[0])
-    width = min(factorial(length), m ** length).bit_length()
+    spread = max(len(t) - t.count(0) for t in targets)
+    width = min(factorial(length), spread ** length).bit_length()
     mask = (1 << n * width) - 1
-    single = len(targets) == 1
-    top = max([c for t in targets for c in t], default=0)
-    b = (top if single else top + 1).bit_length()
+    caps = tuple([max(column) for column in zip(*targets)])
+    capped = len(targets) == 1 or _fills_box(targets, caps, length, budget)
+    top = max(caps, default=0)
+    b = (top if capped else top + 1).bit_length()
     field = (1 << b) - 1
     fields = [b * j for j in range(m)]
-    if single:
-        caps, down = targets[0], None
+    if capped:
+        down = None
         binds = any(c < length for c in caps)
     else:
         caps, down = (0,) * m, _down_set(targets, fields, field, budget)
@@ -197,8 +206,32 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None) -> dict:
         frontier = nxt
     slot = (1 << width) - 1
     slots = [width * e for e in range(n)]
-    return {tuple([(state >> pos) & field for pos in fields]): [(vec >> pos) & slot for pos in slots]
-            for state, vec in frontier.items()}
+    return ((tuple([(state >> pos) & field for pos in fields]), [(vec >> pos) & slot for pos in slots])
+            for state, vec in frontier.items())
+
+
+def _fills_box(targets, caps, length, budget=None) -> bool:
+    """Whether the targets are every count vector of sum `length` below caps.
+
+    If so, their down-set is every vector of sum <= length below caps, and
+    BudgetExceeded is raised when it holds more than `budget` vectors.
+    """
+    if any(sum(t) != length for t in targets):
+        return False
+    ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
+    for c in caps:
+        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
+    if ways[length] > len(targets) or ways[length] != len(set(targets)):
+        return False
+    _check_down_set(sum(ways), budget)
+    return True
+
+
+def _check_down_set(states, budget):
+    """Raise BudgetExceeded when a walk's down-set of `states` count vectors passes the budget."""
+    if budget is not None and states > budget:
+        raise BudgetExceeded(f"the walk's down-set passes the budget of {budget} DP states; "
+                             "pass a larger budget to override")
 
 
 def _down_set(targets, fields, field, budget=None) -> set:
@@ -210,8 +243,6 @@ def _down_set(targets, fields, field, budget=None) -> set:
     down = set()
     while level:
         down |= level
-        if budget is not None and len(down) > budget:
-            raise BudgetExceeded(f"the walk's down-set passes the budget of {budget} DP states; "
-                                 "pass a larger budget to override")
+        _check_down_set(len(down), budget)
         level = {s - (1 << pos) for s in level for pos in fields if (s >> pos) & field} - down
     return down

@@ -229,7 +229,7 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
         return cached
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
-    for key, vec in shift_add_walk(rows, [(k * n,) * n], n).items():
+    for key, vec in shift_add_walk(rows, [(k * n,) * n], n):
         val = CyclotomicInt(n, vec).to_integer()
         if val:
             terms[key] = val
@@ -277,8 +277,8 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
         raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is "
                              f"{lambda_tilde_size(n, 1)}; arithmetic is broken")
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)]
-    frontier = shift_add_walk(rows, reps, n)
-    values = {key: CyclotomicInt(n, frontier[key]).to_integer() for key in reps}
+    # the representatives all sum to n, so they are the whole final frontier
+    values = {key: CyclotomicInt(n, vec).to_integer() for key, vec in shift_add_walk(rows, reps, n)}
     det = MonomialMap(n, n, {key: sign * values[rep] for key, (rep, sign) in orbit.items()})
     result = det
     for _ in range(k - 1):

@@ -91,53 +91,63 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     the budget (override via the `budget` argument). Values are memoized
     per (parts, multiplicities, n).
     """
-    counts = _profile(inst, DEFAULT_BUDGET if budget is None else budget)
-    return _dp_value(tuple(counts), tuple(counts.values()), inst.n)
+    columns = tuple(sorted(set(inst.parts)))
+    mults = _multiplicities(inst.parts, columns, DEFAULT_BUDGET if budget is None else budget)
+    return _dp_value(columns, mults, inst.n)
 
 
 def msp_values_dp(instances, budget: int | None = None) -> list:
-    """msp_value_dp of each instance, from one walk per (n, length).
+    """msp_value_dp of each instance, from one shift-add walk.
 
-    The instances of one order and length share their rows, (v*pos) mod n
-    for each part v, so one shift-add walk whose columns are the union of
-    their distinct parts reaches every one of them: each distinct
-    multiplicity vector over those columns is a target of the walk and is
-    read out once. Each instance must fit the budget as in msp_value_dp.
-    A walk's DP states are the count vectors below some target (its
-    down-set), and the walk raises BudgetExceeded before its first row
-    once they pass the budget. The DP memo is neither read nor filled.
+    The instances must share their order n and their length. They then
+    share their rows, (v*pos) mod n for each part v, so one walk whose
+    columns are the union of their distinct parts reaches every one of
+    them: each distinct multiplicity vector over those columns is a
+    target of the walk and is read out once. Each instance must fit the
+    budget as in msp_value_dp. The walk's DP states are the count vectors
+    below some target (its down-set), and the walk raises BudgetExceeded
+    before its first row once they pass the budget. The DP memo is
+    neither read nor filled.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    profiles = [((inst.n, len(inst.parts)), _profile(inst, budget)) for inst in instances]
-    columns = {}
-    for group, counts in profiles:
-        columns.setdefault(group, set()).update(counts)
-    columns = {group: sorted(parts) for group, parts in columns.items()}
-    # per instance: its group and its multiplicity vector over the group's columns
-    keys = [(group, tuple([counts.get(v, 0) for v in columns[group]])) for group, counts in profiles]
-    targets = {}
-    for group, vec in keys:
-        targets.setdefault(group, {})[vec] = None
-    read = {group: _walk_values(columns[group], list(vecs), group[0], budget)
-            for group, vecs in targets.items()}
-    return [read[group][vec] for group, vec in keys]
+    shapes, parts = set(), []
+    for inst in instances:
+        shapes.add((inst.n, len(inst.parts)))
+        parts.append(inst.parts)
+    if not shapes:
+        return []
+    if len(shapes) > 1:
+        raise ValueError(f"one walk needs one order and one length; got (n, length) {sorted(shapes)}")
+    (n, _), = shapes
+    columns = sorted(set().union(*parts))
+    vecs = [_multiplicities(p, columns, budget) for p in parts]
+    del parts  # the walk needs only the vectors
+    values = _walk_values(columns, list(dict.fromkeys(vecs)), n, budget)
+    return [values[vec] for vec in vecs]
 
 
-def _profile(inst, budget) -> dict:
-    """The multiplicity of each distinct part, in increasing order, once the state count fits the budget."""
-    counts = {v: inst.parts.count(v) for v in sorted(set(inst.parts))}
-    states = prod(m + 1 for m in counts.values())
+def _multiplicities(parts, columns, budget) -> tuple:
+    """How often each column occurs among the parts, once the state count fits the budget."""
+    mults = tuple([parts.count(v) for v in columns])
+    states = prod(m + 1 for m in mults)
     if states > budget:
         raise BudgetExceeded(f"{states} DP states exceed the budget of {budget}; pass a larger budget to override")
-    return counts
+    return mults
 
 
 def _walk_values(columns, targets, n, budget=None) -> dict:
-    """One shift-add walk with a column per part, read out at each target multiplicity vector."""
+    """One shift-add walk with a column per part, read out at each target multiplicity vector.
+
+    The targets all sum to the number of rows, so they are the whole final
+    frontier. Each value is stored under the caller's target tuple (a dict
+    keeps the key it already holds), not under the walk's equal copy.
+    """
     rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
-    frontier = shift_add_walk(rows, targets, n, budget)
-    return {t: CyclotomicInt(n, frontier[t]).to_integer() for t in targets}
+    values = dict.fromkeys(targets)
+    for t, vec in shift_add_walk(rows, targets, n, budget):
+        values[t] = CyclotomicInt(n, vec).to_integer()
+    return values
 
 
 @lru_cache(maxsize=None)

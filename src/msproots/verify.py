@@ -36,7 +36,6 @@ from .msp import (
     EvalInstance,
     closed_form_two_blocks,
     mansfield_coefficient,
-    msp_value_dp,  # noqa: F401  (still importable from here: the benchmark's tests read it)
     msp_value_naive,
     msp_values_dp,
     prime_nonvanishing,
@@ -134,14 +133,16 @@ class ConjectureReport:
         }
 
 
-def _values(lams, n, k) -> dict:
-    """The value at (n, k) of every listed partition, keyed by its sorted parts.
+def _values(lams, n, k, budget=None) -> dict:
+    """The value at (n, k) of every listed partition, keyed by the partition.
 
-    All of them come from one msp_values_dp call, so a suite's partitions
-    share one walk per length.
+    The partitions are sorted part tuples, as enumerate_partitions yields
+    them. All of them come from one msp_values_dp call: one walk.
     """
-    distinct = list(dict.fromkeys(tuple(sorted(lam)) for lam in lams))
-    return dict(zip(distinct, msp_values_dp([EvalInstance(lam, n, k) for lam in distinct])))
+    values = dict.fromkeys(lams)
+    for lam, value in zip(values, msp_values_dp((EvalInstance(lam, n, k) for lam in values), budget)):
+        values[lam] = value
+    return values
 
 
 def check_lemma_2_4(n: int, parts) -> VerificationReport:
@@ -194,7 +195,7 @@ def check_lemma_2_4_sweep(n: int, samples: int = 50, seed: int = 0) -> Verificat
     return VerificationReport("lemma24", n, 1, checked, failures, elapsed)
 
 
-def check_prop_2_1(n: int, k: int) -> VerificationReport:
+def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Expand both sides of the generating identity and compare term by term.
 
     Left side: the product over variables of (1 - x_i^n)^k, multiplied
@@ -212,7 +213,7 @@ def check_prop_2_1(n: int, k: int) -> VerificationReport:
     es = [MonomialMap(n, r, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), r)})
           for r in range(n + 1)]
     lams = [lam for lam in enumerate_partitions(n, k * n, allow_zero=True) if sum(lam) % n == 0]
-    values = _values(lams, n, k)
+    values = _values(lams, n, k, budget)
     rhs = {}
     for lam in lams:
         value = values[lam]
@@ -230,7 +231,7 @@ def check_prop_2_1(n: int, k: int) -> VerificationReport:
     return VerificationReport("prop21", n, k, len(lams), failures, elapsed)
 
 
-def check_branching(n: int, k: int, l: int) -> VerificationReport:
+def check_branching(n: int, k: int, l: int, budget: int | None = None) -> VerificationReport:
     """Value at k+l versus the sum of split products over contained partitions."""
     if n < 1 or k < 1 or l < 1:
         raise ValueError("n, k and l must be positive")
@@ -240,8 +241,8 @@ def check_branching(n: int, k: int, l: int) -> VerificationReport:
     t0 = time.perf_counter()
     mus = list(enumerate_partitions(n, (k + l) * n))
     # the split halves of all mu at powers k and l are the whole families at those powers
-    values = {p: _values(enumerate_partitions(n, p * n), n, p) for p in {k, l}}
-    values[k + l] = _values(mus, n, k + l)
+    values = {p: _values(enumerate_partitions(n, p * n), n, p, budget) for p in {k, l}}
+    values[k + l] = _values(mus, n, k + l, budget)
     failures = []
     for mu in mus:
         direct = values[k + l][mu]
@@ -262,17 +263,22 @@ def check_branching(n: int, k: int, l: int) -> VerificationReport:
     return VerificationReport("branching", n, k, len(mus), failures, elapsed, l=l)
 
 
-def check_thm11(n: int, k: int) -> VerificationReport:
+def check_thm11(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Prime nonvanishing equivalence, the two-block closed form, and the block reduction."""
     t0 = time.perf_counter()
     kn = k * n
     sections = {}
     failures = []
     prime = k == 1 and is_prime(n)
-    states = binomial(2 * n, n)  # the family's walk holds every count vector of sum <= n
-    if prime and states > DEFAULT_BUDGET:
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    # The prime family's multiplicity vectors are every vector of sum n over the n
+    # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
+    # DP states. Checked here so that the family is not enumerated first.
+    states = binomial(2 * n, n)
+    if prime and states > budget:
         raise BudgetExceeded(f"the prime family's walk would hold {states} DP states, "
-                             f"over the budget of {DEFAULT_BUDGET}")
+                             f"over the budget of {budget}; pass a larger budget to override")
     family = list(enumerate_partitions(n, n)) if prime else []
     blocks = [(lam1, a, (lam1,) * a + (n,) * (kn - a)) for lam1 in range(1, n) for a in range(kn + 1)]
     pairs = []
@@ -284,7 +290,8 @@ def check_thm11(n: int, k: int) -> VerificationReport:
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
                 lam = tuple(sorted((lam1,) * a + (lam2,) * (kn - a)))
                 pairs.append((lam1, lam2, a, lam, sign, reduced.parts))
-    values = _values(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs], n, k)
+    values = _values(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs],
+                     n, k, budget)
 
     if prime:
         for lam in family:
@@ -316,7 +323,7 @@ def check_thm11(n: int, k: int) -> VerificationReport:
     return VerificationReport("thm11", n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
-def check_thm12(n: int, k: int) -> VerificationReport:
+def check_thm12(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Near-identity pattern values, vanishing off the residue class, unit scaling.
 
     Integrality is not a separate sweep: every evaluator readout already
@@ -341,7 +348,7 @@ def check_thm12(n: int, k: int) -> VerificationReport:
             patterns.append((lam, want))
     exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
     family = list(enumerate_partitions(n, kn)) if exhaustive else []
-    values = _values([lam for lam, _ in patterns] + family, n, k)  # unit scaling keeps to the family
+    values = _values([lam for lam, _ in patterns] + family, n, k, budget)  # unit scaling keeps to the family
 
     for lam, want in patterns:
         got = values[lam]
@@ -408,7 +415,7 @@ def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport
         if len(lams) != tilde:
             raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
         run_naive = k * n <= NAIVE_LENGTH_LIMIT
-        values = _values(lams, n, k)
+        values = _values(lams, n, k, budget)
         for lam in lams:
             dp = values[lam]
             coeff = expansion.coefficient(exponent_key(lam, n))
@@ -448,7 +455,7 @@ def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport
 def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Every applicable theorem suite in one report, sections prefixed per suite."""
     t0 = time.perf_counter()
-    reports = [check_thm11(n, k), check_thm12(n, k), check_thm32(n, k, budget)]
+    reports = [check_thm11(n, k, budget), check_thm12(n, k, budget), check_thm32(n, k, budget)]
     sections = {}
     failures = []
     total = 0

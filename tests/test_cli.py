@@ -128,6 +128,16 @@ def test_budget_env_override(monkeypatch):
     assert code == 2 and "MSPROOTS_BUDGET" in err
 
 
+def test_verify_suites_take_the_budget(monkeypatch):
+    for suite in ("thm11", "thm12", "prop21", "branching"):
+        code, out, err = run_cli(["verify", "--suite", suite, "--n", "3", "--budget", "5"])
+        assert code == 3 and out == "" and "budget of 5" in err, (suite, err)
+        monkeypatch.setenv("MSPROOTS_BUDGET", "5")
+        assert run_cli(["verify", "--suite", suite, "--n", "3"])[0] == 3, suite
+        monkeypatch.delenv("MSPROOTS_BUDGET")
+        assert run_cli(["verify", "--suite", suite, "--n", "3", "--budget", "10000"])[0] == 0, suite
+
+
 def test_explicit_default_budget_matches_omitted(monkeypatch):
     argv = ["verify", "--suite", "all", "--n", "6", "--format", "plain"]
     omitted = run_cli(argv)
@@ -238,7 +248,7 @@ def test_verify_failures_exit_one(monkeypatch):
     from msproots import cli
     from msproots.verify import Failure, VerificationReport
 
-    def broken(n, k):
+    def broken(n, k, budget=None):
         return VerificationReport("thm11", n, k, 1,
                                   [Failure("lambda=1,1", "0", "1")], 0.0)
 

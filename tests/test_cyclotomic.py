@@ -1,5 +1,6 @@
 import cmath
 import random
+from itertools import product
 
 import pytest
 
@@ -168,6 +169,10 @@ def pruned_reference(rows, targets, n):
             if any(all(c <= t for c, t in zip(state, target)) for target in targets)}
 
 
+BOX = [t for t in product(range(3), range(2), range(4)) if sum(t) == 3]
+GAP = [t for t in BOX if t != (1, 1, 1)]
+
+
 def test_shift_add_walk_matches_reference():
     rng = random.Random(5)
     cases = [
@@ -181,6 +186,11 @@ def test_shift_add_walk_matches_reference():
         ([[1, 1]] * 2, [(0, 0), (2, 0), (1, 1)], 3),  # the zero target
         ([[0, 0, 0]] * 3, [(3, 0, 0), (1, 1, 1), (0, 2, 1)], 1),  # several targets at n = 1
         ([[0, 2]] * 2, [(0, 0), (0, 0)], 3),  # only the zero target, twice
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], BOX, 5),  # every vector of sum 3 below (2, 1, 3)
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], BOX + BOX[:2], 5),  # the same, with repeats
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP, 5),  # all but one of them, under the same maximum
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + GAP[:1], 5),  # as many, one repeated in place of one
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + [(1, 1, 2)], 5),  # as many, one of sum 4
     ]
     for _ in range(150):
         n = rng.randrange(1, 13)
@@ -205,4 +215,4 @@ def test_shift_add_walk_matches_reference():
         want = pruned_reference(rows, targets, n)
         if len(targets) == 1:
             assert want == reference_walk(rows, targets[0], n)
-        assert shift_add_walk(rows, targets, n) == want, (rows, targets, n)
+        assert dict(shift_add_walk(rows, targets, n)) == want, (rows, targets, n)

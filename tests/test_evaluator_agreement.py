@@ -52,35 +52,50 @@ EDGE_BATCH = [
 ]
 
 
+def by_shape(batch):
+    """The instances grouped by (n, length), in first-seen order."""
+    groups = {}
+    for inst in batch:
+        groups.setdefault((inst.n, len(inst.parts)), []).append(inst)
+    return list(groups.values())
+
+
 def random_batch(rng):
-    """Instances over mixed orders and lengths, parts drawn from a small pool in -n..2n,
-    with an n = 1 instance and repeated instances. Naive-sized whenever n <= 6."""
-    batch = []
-    for _ in range(rng.randint(2, 12)):
-        n = rng.randint(1, 8)
-        k = rng.randint(1, max(1, (9 if n <= 6 else 16) // n))
-        pool = [rng.randint(-n, 2 * n) for _ in range(rng.randint(1, 4))]
-        batch.append(EvalInstance(tuple(rng.choice(pool) for _ in range(k * n)), n, k))
-    k = rng.randint(1, 4)
-    batch.append(EvalInstance(tuple(rng.randint(-2, 2) for _ in range(k)), 1, k))
-    batch += rng.sample(batch, 2)
+    """Instances of one order and length, parts drawn from a small pool in -n..2n,
+    with repeated instances. Naive-sized whenever n <= 6; n = 1 at times."""
+    n = rng.randint(1, 8)
+    k = rng.randint(1, max(1, (9 if n <= 6 else 16) // n))
+    pool = [rng.randint(-n, 2 * n) for _ in range(rng.randint(1, 5))]
+    batch = [EvalInstance(tuple(rng.choice(pool) for _ in range(k * n)), n, k)
+             for _ in range(rng.randint(1, 12))]
+    batch += rng.sample(batch, min(2, len(batch)))
     rng.shuffle(batch)
     return batch
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_batched_values_agree(seed):
-    batch = random_batch(random.Random(seed))
-    values = msp_values_dp(batch)
-    assert values == [msp_value_dp(inst) for inst in batch]
-    for inst, value in zip(batch, values):
-        if inst.n <= 6:
-            assert msp_value_naive(inst) == value, inst
+    rng = random.Random(seed)
+    for _ in range(3):
+        batch = random_batch(rng)
+        values = msp_values_dp(batch)
+        assert values == [msp_value_dp(inst) for inst in batch]
+        for inst, value in zip(batch, values):
+            if inst.n <= 6:
+                assert msp_value_naive(inst) == value, inst
 
 
 def test_batched_values_edge_batches():
     assert msp_values_dp([]) == []
     for inst in EDGE_BATCH:
         assert msp_values_dp([inst]) == [msp_value_dp(inst)]
-    want = [msp_value_naive(inst) for inst in EDGE_BATCH]
-    assert msp_values_dp(EDGE_BATCH) == [msp_value_dp(inst) for inst in EDGE_BATCH] == want
+    for group in by_shape(EDGE_BATCH):
+        want = [msp_value_naive(inst) for inst in group]
+        assert msp_values_dp(group) == [msp_value_dp(inst) for inst in group] == want
+    assert msp_values_dp(iter(EDGE_BATCH[-3:])) == [3, -3, -3]  # any iterable of instances
+
+
+def test_batch_needs_one_order_and_one_length():
+    for batch in (EDGE_BATCH[:2], EDGE_BATCH[3:5], EDGE_BATCH):
+        with pytest.raises(ValueError, match="one order and one length"):
+            msp_values_dp(batch)

@@ -104,7 +104,11 @@ def test_batch_budget_guard_matches_single():
         "16 DP states exceed the budget of 15; pass a larger budget to override"
 
 
-def test_batch_down_set_guard_raises_before_the_walk(monkeypatch):
+@pytest.mark.parametrize("batch,states", [
+    ([(1, 1, 2, 2), (3, 3, 4, 4)], 17),  # 9 states each, 17 together
+    ([(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)], 15),  # every vector of sum <= 4
+])
+def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states):
     from msproots import msp
 
     walked = []
@@ -115,13 +119,13 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch):
             walked.append(len(self))
             return super().__iter__()
 
-    batch = [EvalInstance((1, 1, 2, 2), 4, 1), EvalInstance((3, 3, 4, 4), 4, 1)]  # 9 states each, 17 together
+    batch = [EvalInstance(parts, 4, 1) for parts in batch]
     want = [msp_value_dp(inst) for inst in batch]
     monkeypatch.setattr(msp, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
-    with pytest.raises(BudgetExceeded, match="down-set passes the budget of 16 DP states"):
-        msp_values_dp(batch, budget=16)
+    with pytest.raises(BudgetExceeded, match=f"down-set passes the budget of {states - 1} DP states"):
+        msp_values_dp(batch, budget=states - 1)
     assert walked == []
-    assert msp_values_dp(batch, budget=17) == want
+    assert msp_values_dp(batch, budget=states) == want
     assert walked == [4]
 
 

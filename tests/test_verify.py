@@ -72,8 +72,8 @@ def perturb(monkeypatch, target):
 
     honest = verify._values
 
-    def off_by_one(lams, n, k):
-        values = honest(lams, n, k)
+    def off_by_one(lams, n, k, budget=None):
+        values = honest(lams, n, k, budget)
         if target in values:
             values[target] += 1
         return values
@@ -244,6 +244,18 @@ def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_partitions", boom)
     with pytest.raises(BudgetExceeded, match="10400600 DP states"):
         check_thm11(13, 1)  # binom(26, 13) count vectors of sum <= 13
+
+
+def test_suites_walk_under_the_given_budget():
+    # at n = 5 the prime family's down-set is every count vector of sum <= 5 over 5 columns
+    with pytest.raises(BudgetExceeded, match="252 DP states, over the budget of 251; pass a larger budget"):
+        check_thm11(5, 1, budget=251)
+    assert check_thm11(5, 1, budget=252).passed
+    for check, args in [(check_thm12, (4, 1)), (check_thm32, (3, 1)), (check_branching, (3, 1, 1)),
+                        (check_prop_2_1, (3, 1)), (check_theorems, (3, 1))]:
+        with pytest.raises(BudgetExceeded, match="budget of 5"):
+            check(*args, budget=5)
+        assert check(*args, budget=10_000).passed
 
 
 def test_explore_conjecture_rejects_trivial_order():
