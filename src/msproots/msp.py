@@ -96,35 +96,35 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     return _dp_value(columns, mults, inst.n)
 
 
-def msp_values_dp(instances, budget: int | None = None) -> list:
-    """msp_value_dp of each instance, from one shift-add walk.
+def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict:
+    """msp_value_dp at (n, k) of each partition, from one shift-add walk.
 
-    The instances must share their order n and their length. They then
-    share their rows, (v*pos) mod n for each part v, so one walk whose
-    columns are the union of their distinct parts reaches every one of
-    them: each distinct multiplicity vector over those columns is a
-    target of the walk and is read out once. Each instance must fit the
-    budget as in msp_value_dp. The walk's DP states are the count vectors
-    below some target (its down-set), and the walk raises BudgetExceeded
-    before its first row once they pass the budget. The DP memo is
-    neither read nor filled.
+    Each partition is a tuple of k*n parts. They share their rows, (v*pos)
+    mod n for each part v, so one walk whose columns are the union of their
+    distinct parts reaches every one of them: each distinct multiplicity
+    vector over those columns is a target of the walk and is read out once.
+    Each partition must fit the budget as in msp_value_dp. The walk's DP
+    states are the count vectors below some target (its down-set), and the
+    walk raises BudgetExceeded before its first row once they pass the
+    budget. Values are keyed by the tuples as given, repeats merged. The DP
+    memo is neither read nor filled.
     """
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     if budget is None:
         budget = DEFAULT_BUDGET
-    shapes, parts = set(), []
-    for inst in instances:
-        shapes.add((inst.n, len(inst.parts)))
-        parts.append(inst.parts)
-    if not shapes:
-        return []
-    if len(shapes) > 1:
-        raise ValueError(f"one walk needs one order and one length; got (n, length) {sorted(shapes)}")
-    (n, _), = shapes
-    columns = sorted(set().union(*parts))
-    vecs = [_multiplicities(p, columns, budget) for p in parts]
-    del parts  # the walk needs only the vectors
-    values = _walk_values(columns, list(dict.fromkeys(vecs)), n, budget)
-    return [values[vec] for vec in vecs]
+    values = dict.fromkeys(partitions)
+    columns = sorted(set().union(*values))
+    for parts in values:  # each slot holds its multiplicity vector until the walk
+        if len(parts) != k * n:
+            raise ValueError(f"expected {k * n} parts for (n={n}, k={k}), got {len(parts)}")
+        values[parts] = _multiplicities(parts, columns, budget)
+    if not values:
+        return values
+    walked = _walk_values(columns, list(dict.fromkeys(values.values())), n, budget)
+    for parts, vec in values.items():
+        values[parts] = walked[vec]
+    return values
 
 
 def _multiplicities(parts, columns, budget) -> tuple:

@@ -21,7 +21,6 @@ from .cyclotomic import CyclotomicInt
 from .groupdet import (
     LEIBNIZ_LIMIT,
     MonomialMap,
-    count_terms,
     dedekind_expand,
     exponent_key,
     key_partition,
@@ -133,18 +132,6 @@ class ConjectureReport:
         }
 
 
-def _values(lams, n, k, budget=None) -> dict:
-    """The value at (n, k) of every listed partition, keyed by the partition.
-
-    The partitions are sorted part tuples, as enumerate_partitions yields
-    them. All of them come from one msp_values_dp call: one walk.
-    """
-    values = dict.fromkeys(lams)
-    for lam, value in zip(values, msp_values_dp((EvalInstance(lam, n, k) for lam in values), budget)):
-        values[lam] = value
-    return values
-
-
 def check_lemma_2_4(n: int, parts) -> VerificationReport:
     """Full permutation sum versus n times the reduced sum, per test function.
 
@@ -213,7 +200,7 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
     es = [MonomialMap(n, r, {tuple(int(i in s) for i in range(n)): 1 for s in combinations(range(n), r)})
           for r in range(n + 1)]
     lams = [lam for lam in enumerate_partitions(n, k * n, allow_zero=True) if sum(lam) % n == 0]
-    values = _values(lams, n, k, budget)
+    values = msp_values_dp(lams, n, k, budget)
     rhs = {}
     for lam in lams:
         value = values[lam]
@@ -241,8 +228,8 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
     t0 = time.perf_counter()
     mus = list(enumerate_partitions(n, (k + l) * n))
     # the split halves of all mu at powers k and l are the whole families at those powers
-    values = {p: _values(enumerate_partitions(n, p * n), n, p, budget) for p in {k, l}}
-    values[k + l] = _values(mus, n, k + l, budget)
+    values = {p: msp_values_dp(enumerate_partitions(n, p * n), n, p, budget) for p in {k, l}}
+    values[k + l] = msp_values_dp(mus, n, k + l, budget)
     failures = []
     for mu in mus:
         direct = values[k + l][mu]
@@ -290,8 +277,8 @@ def check_thm11(n: int, k: int, budget: int | None = None) -> VerificationReport
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
                 lam = tuple(sorted((lam1,) * a + (lam2,) * (kn - a)))
                 pairs.append((lam1, lam2, a, lam, sign, reduced.parts))
-    values = _values(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs],
-                     n, k, budget)
+    values = msp_values_dp(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs],
+                           n, k, budget)
 
     if prime:
         for lam in family:
@@ -348,7 +335,7 @@ def check_thm12(n: int, k: int, budget: int | None = None) -> VerificationReport
             patterns.append((lam, want))
     exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
     family = list(enumerate_partitions(n, kn)) if exhaustive else []
-    values = _values([lam for lam, _ in patterns] + family, n, k, budget)  # unit scaling keeps to the family
+    values = msp_values_dp([lam for lam, _ in patterns] + family, n, k, budget)  # unit scaling keeps to the family
 
     for lam, want in patterns:
         got = values[lam]
@@ -415,7 +402,7 @@ def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport
         if len(lams) != tilde:
             raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
         run_naive = k * n <= NAIVE_LENGTH_LIMIT
-        values = _values(lams, n, k, budget)
+        values = msp_values_dp(lams, n, k, budget)
         for lam in lams:
             dp = values[lam]
             coeff = expansion.coefficient(exponent_key(lam, n))
@@ -432,12 +419,12 @@ def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport
             sections["naive_agreement"] = len(lams)
 
     if k == 1 and is_prime(n):
-        tc = count_terms(n, 1, budget)
+        nu = len(expansion)
         want = prime_term_count(n)
         sections["prime_term_count"] = 1
-        if not (tc.nu == want == tc.lambda_tilde and tc.equal):
+        if not nu == want == tilde:
             failures.append(Failure(f"corollary p={n}", f"nu={want} equal=True",
-                                    f"nu={tc.nu} lambda_tilde={tc.lambda_tilde} equal={tc.equal}"))
+                                    f"nu={nu} lambda_tilde={tilde} equal={nu == tilde}"))
 
     cnt = 0
     for l in range(2, n + 1):

@@ -53,49 +53,67 @@ EDGE_BATCH = [
 
 
 def by_shape(batch):
-    """The instances grouped by (n, length), in first-seen order."""
+    """The part tuples of the instances grouped by (n, k), in first-seen order."""
     groups = {}
     for inst in batch:
-        groups.setdefault((inst.n, len(inst.parts)), []).append(inst)
-    return list(groups.values())
+        groups.setdefault((inst.n, inst.k), []).append(inst.parts)
+    return groups
 
 
 def random_batch(rng):
-    """Instances of one order and length, parts drawn from a small pool in -n..2n,
-    with repeated instances. Naive-sized whenever n <= 6; n = 1 at times."""
+    """Partitions at one (n, k), parts drawn from a small pool in -n..2n, some
+    unsorted and some repeated. Naive-sized whenever n <= 6; n = 1 at times."""
     n = rng.randint(1, 8)
     k = rng.randint(1, max(1, (9 if n <= 6 else 16) // n))
     pool = [rng.randint(-n, 2 * n) for _ in range(rng.randint(1, 5))]
-    batch = [EvalInstance(tuple(rng.choice(pool) for _ in range(k * n)), n, k)
-             for _ in range(rng.randint(1, 12))]
+    batch = [tuple(rng.choice(pool) for _ in range(k * n)) for _ in range(rng.randint(1, 12))]
     batch += rng.sample(batch, min(2, len(batch)))
     rng.shuffle(batch)
-    return batch
+    return batch, n, k
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_batched_values_agree(seed):
     rng = random.Random(seed)
     for _ in range(3):
-        batch = random_batch(rng)
-        values = msp_values_dp(batch)
-        assert values == [msp_value_dp(inst) for inst in batch]
-        for inst, value in zip(batch, values):
-            if inst.n <= 6:
+        batch, n, k = random_batch(rng)
+        values = msp_values_dp(batch, n, k)
+        assert list(values) == list(dict.fromkeys(batch))
+        for parts, value in values.items():
+            inst = EvalInstance(parts, n, k)
+            assert msp_value_dp(inst) == value, inst
+            if n <= 6:
                 assert msp_value_naive(inst) == value, inst
 
 
 def test_batched_values_edge_batches():
-    assert msp_values_dp([]) == []
+    assert msp_values_dp([], 3, 1) == {}
     for inst in EDGE_BATCH:
-        assert msp_values_dp([inst]) == [msp_value_dp(inst)]
-    for group in by_shape(EDGE_BATCH):
-        want = [msp_value_naive(inst) for inst in group]
-        assert msp_values_dp(group) == [msp_value_dp(inst) for inst in group] == want
-    assert msp_values_dp(iter(EDGE_BATCH[-3:])) == [3, -3, -3]  # any iterable of instances
+        assert msp_values_dp([inst.parts], inst.n, inst.k) == {inst.parts: msp_value_dp(inst)}
+    for (n, k), group in by_shape(EDGE_BATCH).items():
+        want = {parts: msp_value_naive(EvalInstance(parts, n, k)) for parts in group}
+        assert msp_values_dp(group, n, k) == want
+    assert msp_values_dp(iter(inst.parts for inst in EDGE_BATCH[-3:]), 3, 1) == \
+        {(1, 4, 4): 3, (1, 2, 3): -3}  # any iterable of part tuples
 
 
-def test_batch_needs_one_order_and_one_length():
-    for batch in (EDGE_BATCH[:2], EDGE_BATCH[3:5], EDGE_BATCH):
-        with pytest.raises(ValueError, match="one order and one length"):
-            msp_values_dp(batch)
+def test_batched_values_keyed_as_given():
+    """Unsorted and repeated tuples keep their own keys; equal multisets share one value."""
+    values = msp_values_dp([(3, 1, 2), (1, 2, 3), (3, 1, 2), (2, 2, 2), (2, 2, 2)], 3, 1)
+    assert list(values) == [(3, 1, 2), (1, 2, 3), (2, 2, 2)]
+    assert values == {(3, 1, 2): -3, (1, 2, 3): -3, (2, 2, 2): 1}
+    assert values[(2, 2, 2)] == msp_value_dp(EvalInstance((2, 2, 2), 3, 1))
+
+
+@pytest.mark.parametrize("partitions,n,k,message", [
+    ([(1, 2, 3), (1, 2)], 3, 1, r"expected 3 parts for \(n=3, k=1\), got 2"),
+    ([(1, 2, 3)], 1, 1, r"expected 1 parts for \(n=1, k=1\), got 3"),
+    ([(1, 1, 2, 2, 3, 3)], 3, 1, r"expected 3 parts for \(n=3, k=1\), got 6"),
+    ([(1, 2, 3)], 0, 1, "n and k must be positive"),
+    ([(1, 2, 3)], 3, 0, "n and k must be positive"),
+    ([], -1, 1, "n and k must be positive"),
+    ([], 3, -2, "n and k must be positive"),
+])
+def test_batch_rejects_bad_shapes(partitions, n, k, message):
+    with pytest.raises(ValueError, match=message):
+        msp_values_dp(partitions, n, k)

@@ -25,7 +25,8 @@ RUNS = (
      for n, k in (("5", "1"), ("6", "1"), ("4", "2")) for fmt in ("tsv", "json")]
     + [["expand", "--n", "3", "--k", "3", "--format", "tsv"], ["expand", "--n", "7", "--k", "1", "--format", "tsv"],
        ["expand", "--n", "1", "--k", "2"], ["expand", "--n", "10", "--k", "1", "--format", "tsv"],
-       ["expand", "--n", "6", "--k", "3", "--format", "tsv"]]
+       ["expand", "--n", "6", "--k", "3", "--format", "tsv"],
+       ["expand", "--n", "4", "--format", "plain"]]
     + [["count", "--n", "6"], ["count", "--n", "7"], ["count", "--n", "8"], ["count", "--n", "4", "--k", "2"]]
     + [["eval", "--n", n, "--k", k, "--lambda", lam, "--method", m]
        for n, k, lam in EVAL_CLOSED for m in ("dp", "naive", "closed", "auto")]
@@ -34,6 +35,7 @@ RUNS = (
     + [["eval", "--n", "3", "--lambda", "1,2,3", "--format", fmt] for fmt in ("tsv", "plain")]
     + [["verify", "--suite", "all", "--n", "4"],
        ["verify", "--suite", "all", "--n", "4", "--format", "plain"],
+       ["verify", "--suite", "all", "--n", "3", "--format", "tsv"],
        ["verify", "--suite", "branching", "--n", "2", "--k", "1", "--l", "2"],
        ["verify", "--suite", "prop21", "--n", "3", "--k", "2"],
        ["verify", "--suite", "prop21", "--n", "2", "--k", "3"],
@@ -55,6 +57,7 @@ GOLDEN = {
     "expand --n 1 --k 2": "e9e8284bf2392917c827765cd2f6167a5752ba4d864e3e3eb51839bab21dcad5",
     "expand --n 10 --k 1 --format tsv": "e4000c490950359f780b1e10f119c1d48471f9c4dc209c77b39d2810cc39fe51",
     "expand --n 6 --k 3 --format tsv": "9fc11de3050af59bdc75add98aef986fbf1c513b4844112db2704c242ece8a5f",
+    "expand --n 4 --format plain": "20d6c9636e37598a0b48154ac66788c53661c84100166b578f18e77550d207f7",
     "count --n 6": "3e9553e9a6fe1e3e23056ee849cb32cba30762866b7185cd89d6d3fe94341511",
     "count --n 7": "015493aea084ce3d046c94f90ca2cb02ef0a0f1df5ba18e11418ddf7d621793a",
     "count --n 8": "049cb28ab2c1c4b0d8e68cfed0ba6407593071a978920a02d128274a29bb0bb3",
@@ -96,6 +99,7 @@ GOLDEN = {
     "eval --n 3 --lambda 1,2,3 --format plain": "1b766e9b9a1f8a7915dad8499bf6d15922d17cce1144ba2670e1357d74189ca1",
     "verify --suite all --n 4": "5f2a78f62cd324d965dc52b9225ec76c5e1c6e91960f9da45c31f58f164ea808",
     "verify --suite all --n 4 --format plain": "94c299837c65011b73f9134baf326195d9a2554cf71741048a37f7883278f8eb",
+    "verify --suite all --n 3 --format tsv": "8accb72e925552792ca8dc75cce3b89b7d10d5f8bde4ead15c20856da0ce32cc",
     "verify --suite branching --n 2 --k 1 --l 2": "691e9f5ec1feef43d7f6c5ac68931855c69caa20a1dcd0e5362658ae973c23e6",
     "verify --suite prop21 --n 3 --k 2": "d01301b3c9e69c88cab6f345fec4f495aeffa24e0d828659d80307d730be08af",
     "verify --suite prop21 --n 2 --k 3": "6e505eb8462f8c8d56abe1bd1c8436c449ad35ffb0af1376626b0f10650565c7",

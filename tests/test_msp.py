@@ -99,7 +99,7 @@ def test_batch_budget_guard_matches_single():
     with pytest.raises(BudgetExceeded) as single:
         msp_value_dp(inst, budget=15)
     with pytest.raises(BudgetExceeded) as batch:
-        msp_values_dp([EvalInstance((1, 1, 1, 1), 4, 1), inst], budget=15)
+        msp_values_dp([(1, 1, 1, 1), inst.parts], 4, 1, budget=15)
     assert str(single.value) == str(batch.value) == \
         "16 DP states exceed the budget of 15; pass a larger budget to override"
 
@@ -119,13 +119,12 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states)
             walked.append(len(self))
             return super().__iter__()
 
-    batch = [EvalInstance(parts, 4, 1) for parts in batch]
-    want = [msp_value_dp(inst) for inst in batch]
+    want = {parts: msp_value_dp(EvalInstance(parts, 4, 1)) for parts in batch}
     monkeypatch.setattr(msp, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
     with pytest.raises(BudgetExceeded, match=f"down-set passes the budget of {states - 1} DP states"):
-        msp_values_dp(batch, budget=states - 1)
+        msp_values_dp(batch, 4, 1, budget=states - 1)
     assert walked == []
-    assert msp_values_dp(batch, budget=states) == want
+    assert msp_values_dp(batch, 4, 1, budget=states) == want
     assert walked == [4]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from msproots.msp import BudgetExceeded
 from msproots.verify import (
+    TheoremViolation,
     check_branching,
     check_lemma_2_4,
     check_lemma_2_4_sweep,
@@ -67,18 +68,18 @@ def test_prop21_small_cases():
 
 
 def perturb(monkeypatch, target):
-    """Make verify._values return the value of `target` (sorted parts) off by one."""
+    """Make verify.msp_values_dp return the value of `target` (sorted parts) off by one."""
     from msproots import verify
 
-    honest = verify._values
+    honest = verify.msp_values_dp
 
-    def off_by_one(lams, n, k, budget=None):
-        values = honest(lams, n, k, budget)
+    def off_by_one(partitions, n, k, budget=None):
+        values = honest(partitions, n, k, budget)
         if target in values:
             values[target] += 1
         return values
 
-    monkeypatch.setattr(verify, "_values", off_by_one)
+    monkeypatch.setattr(verify, "msp_values_dp", off_by_one)
 
 
 def test_prop21_reports_a_perturbed_value(monkeypatch):
@@ -106,6 +107,70 @@ def test_suites_report_a_perturbed_value(monkeypatch, check, args, target, named
     perturb(monkeypatch, target)
     rep = check(*args)
     assert named in [f.instance for f in rep.failures], rep.failures
+
+
+def edited(monkeypatch, name, n, k, edit):
+    """Make verify.<name> return its honest (n, k) expansion with `edit` applied to a copy of its terms."""
+    from msproots import verify
+    from msproots.groupdet import MonomialMap
+
+    honest = getattr(verify, name)
+    terms = dict(honest(n, k).items())
+    edit(terms)
+    monkeypatch.setattr(verify, name, lambda *args: MonomialMap(n, k * n, terms))
+    return terms
+
+
+@pytest.mark.parametrize("n,k,edit,named", [
+    # x1^2 x2 has weight 4, not divisible by 3; Leibniz and the term count see the extra key too
+    (3, 1, lambda t: t.update({(2, 1, 0): 1}),
+     ["thm32_key lambda=1,1,2", "thm32_leibniz lambda=1,1,2", "corollary p=3", "thm32_automorphism l=2"]),
+    (3, 1, lambda t: t.update({(3, 0, 0): t[(3, 0, 0)] + 1}),
+     ["thm32_leibniz lambda=1,1,1", "thm32_coefficient lambda=1,1,1", "thm32_automorphism l=2"]),
+    # relabeling by l = 2 fixes x1 x2 x3, so the automorphism check does not see it dropped
+    (3, 1, lambda t: t.pop((1, 1, 1)),
+     ["thm32_leibniz lambda=1,2,3", "thm32_coefficient lambda=1,2,3", "corollary p=3"]),
+    # no Leibniz route or term count at k = 2: the values and the relabel symmetry see x1^6 moved
+    (3, 2, lambda t: t.update({(6, 0, 0): t[(6, 0, 0)] - 1}),
+     ["thm32_coefficient lambda=1,1,1,1,1,1", "thm32_automorphism l=2"]),
+])
+def test_thm32_reports_a_perturbed_expansion(monkeypatch, n, k, edit, named):
+    assert check_thm32(n, k).passed
+    terms = edited(monkeypatch, "dedekind_expand", n, k, edit)
+    rep = check_thm32(n, k)
+    assert [f.instance for f in rep.failures] == named
+    if "corollary p=3" in named:  # the term count is read from the edited expansion
+        assert rep.failures[named.index("corollary p=3")].to_dict() == {
+            "lambda": "corollary p=3", "expected": "nu=4 equal=True",
+            "actual": f"nu={len(terms)} lambda_tilde=4 equal=False"}
+
+
+def test_thm32_counts_prime_terms_from_its_own_expansion(monkeypatch):
+    from msproots import groupdet, verify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a second expansion by the orbit route")
+
+    monkeypatch.setattr(verify, "orbit_expand", boom)
+    monkeypatch.setattr(groupdet, "orbit_expand", boom)
+    rep = check_thm32(5, 1)
+    assert rep.passed and rep.sections["prime_term_count"] == 1
+
+
+def test_explore_conjecture_raises_on_a_zero_at_a_prime(monkeypatch):
+    edited(monkeypatch, "orbit_expand", 3, 1, lambda t: t.pop((1, 1, 1)))
+    with pytest.raises(TheoremViolation, match="zero coefficient at prime n=3, k=1: lambda=1,2,3"):
+        explore_conjecture(3, 1)
+
+
+def test_suites_raise_when_enumeration_and_formula_disagree(monkeypatch):
+    from msproots import verify
+
+    honest = verify.lambda_tilde_size
+    monkeypatch.setattr(verify, "lambda_tilde_size", lambda n, k: honest(n, k) + 1)
+    for run in (explore_conjecture, check_thm32):
+        with pytest.raises(TheoremViolation, match="enumeration found 4 partitions, formula says 5"):
+            run(3, 1)
 
 
 def test_suites_keep_no_dp_memo():
