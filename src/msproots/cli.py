@@ -254,7 +254,13 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: not a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keeps the exit flush quiet
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

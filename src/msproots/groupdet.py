@@ -11,7 +11,6 @@ with exact integer coefficients.
 """
 from __future__ import annotations
 
-from itertools import permutations
 from math import gcd
 from typing import NamedTuple
 
@@ -153,39 +152,37 @@ class MonomialMap:
         return f"MonomialMap(n_vars={self.n_vars}, degree={self.degree}, terms={len(self._terms)})"
 
 
-def _parity_sign(perm) -> int:
-    """Sign of a permutation of 1..n: (-1)^(n - number of cycles)."""
-    seen = [False] * (len(perm) + 1)
-    parity = len(perm)
-    for start in perm:
-        if not seen[start]:
-            parity -= 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j - 1]
-    return -1 if parity % 2 else 1
-
-
 def leibniz_determinant(n: int) -> MonomialMap:
     """Signed permutation-sum expansion of the circulant determinant.
 
     Matrix entry (i, s) is the variable indexed by the representative of
-    i - s mod n in 1..n; like terms are combined and zeros dropped.
-    Factorial cost, guarded.
+    i - s mod n in 1..n. Terms are grouped by the set of columns the first
+    rows have taken (Laplace expansion along the rows): row i taking column
+    s after u greater columns adds u inversions. Keys are packed one field
+    per variable, like terms combined and zeros dropped. 2^n sets, guarded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > LEIBNIZ_LIMIT:
         raise BudgetExceeded(f"permutation-sum expansion is limited to n <= {LEIBNIZ_LIMIT}")
-    terms = {}
-    for perm in permutations(range(1, n + 1)):
-        key = [0] * n
-        for i, s in enumerate(perm, start=1):
-            key[(i - s - 1) % n] += 1
-        key = tuple(key)
-        terms[key] = terms.get(key, 0) + _parity_sign(perm)
-    return MonomialMap(n, n, terms)
+    b = n.bit_length()  # no exponent exceeds n
+    level = {0: {0: 1}}  # used-column bitmask (column s is bit s - 1) -> {packed key: coeff}
+    for i in range(1, n + 1):
+        nxt = {}
+        for used, terms in level.items():
+            for s in range(1, n + 1):
+                bit = 1 << (s - 1)
+                if used & bit:
+                    continue
+                sign = -1 if (used >> s).bit_count() % 2 else 1
+                step = 1 << (b * ((i - s - 1) % n))
+                group = nxt.setdefault(used | bit, {})
+                for key, c in terms.items():
+                    group[key + step] = group.get(key + step, 0) + sign * c
+        level = nxt
+    field = (1 << b) - 1
+    return MonomialMap(n, n, {tuple([(key >> (b * j)) & field for j in range(n)]): c
+                              for key, c in level[(1 << n) - 1].items()})
 
 
 _expansions: dict = {}

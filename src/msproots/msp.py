@@ -53,28 +53,27 @@ def msp_value_naive(inst: EvalInstance) -> int:
 
     Walks the tree of multiset permutations directly (each distinct
     rearrangement is visited exactly once, so no stabilizer division is
-    ever needed) and accumulates one zeta exponent per leaf. Exponential
-    cost; guarded to short lengths.
+    ever needed) and accumulates one zeta exponent per leaf. Unplaced
+    parts travel down as (value, copies) pairs; once one value v is left
+    the branch is forced, and v times the sum of the remaining positions
+    closes it in one step. Exponential cost; guarded to short lengths.
     """
     n = inst.n
     length = len(inst.parts)
     if length > NAIVE_LENGTH_LIMIT:
         raise BudgetExceeded(f"naive evaluation is limited to {NAIVE_LENGTH_LIMIT} parts, got {length}")
     counts = [0] * n
-    values = sorted(set(inst.parts))
-    remaining = [inst.parts.count(v) for v in values]
+    tail = [(pos + length - 1) * (length - pos) // 2 for pos in range(length)]  # pos + ... + length-1
 
-    def walk(pos, exp):
-        if pos == length:
-            counts[exp] += 1
+    def walk(pos, exp, left):
+        if len(left) == 1:
+            counts[(exp + left[0][0] * tail[pos]) % n] += 1
             return
-        for idx, v in enumerate(values):
-            if remaining[idx]:
-                remaining[idx] -= 1
-                walk(pos + 1, (exp + v * pos) % n)
-                remaining[idx] += 1
+        for idx, (v, copies) in enumerate(left):
+            rest = left[:idx] + ((v, copies - 1),) + left[idx + 1:] if copies > 1 else left[:idx] + left[idx + 1:]
+            walk(pos + 1, exp + v * pos, rest)
 
-    walk(0, 0)
+    walk(0, 0, tuple([(v, inst.parts.count(v)) for v in sorted(set(inst.parts))]))
     return CyclotomicInt(n, counts).to_integer()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -219,7 +218,10 @@ def check_prop_2_1(n: int, k: int, budget: int | None = None) -> VerificationRep
 
 
 def check_branching(n: int, k: int, l: int, budget: int | None = None) -> VerificationReport:
-    """Value at k+l versus the sum of split products over contained partitions."""
+    """Value at k+l versus the sum of split products over contained partitions.
+
+    The sums for all mu are the coefficients of one product of the half-family maps {key: value}.
+    """
     if n < 1 or k < 1 or l < 1:
         raise ValueError("n, k and l must be positive")
     family_size = binomial((k + l) * n + n - 1, n - 1)
@@ -228,22 +230,14 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
     t0 = time.perf_counter()
     mus = list(enumerate_partitions(n, (k + l) * n))
     # the split halves of all mu at powers k and l are the whole families at those powers
-    values = {p: msp_values_dp(enumerate_partitions(n, p * n), n, p, budget) for p in {k, l}}
-    values[k + l] = msp_values_dp(mus, n, k + l, budget)
+    halves = {p: MonomialMap(n, p * n, {exponent_key(lam, n): value for lam, value in
+                                        msp_values_dp(enumerate_partitions(n, p * n), n, p, budget).items()})
+              for p in {k, l}}
+    split = halves[k] * halves[l]
+    values = msp_values_dp(mus, n, k + l, budget)
     failures = []
     for mu in mus:
-        direct = values[k + l][mu]
-        counts = Counter(mu)
-        parts = sorted(counts)
-        total = 0
-        for pick in product(*(range(counts[v] + 1) for v in parts)):
-            if sum(pick) != k * n:
-                continue
-            lam, rest = [], []
-            for v, take in zip(parts, pick):
-                lam.extend([v] * take)
-                rest.extend([v] * (counts[v] - take))
-            total += values[k][tuple(lam)] * values[l][tuple(rest)]
+        direct, total = values[mu], split.coefficient(exponent_key(mu, n))
         if direct != total:
             failures.append(Failure(f"mu={format_partition(mu)}", str(direct), str(total)))
     elapsed = (time.perf_counter() - t0) * 1000

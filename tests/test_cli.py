@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import msproots
 from msproots.cli import main
 
 
@@ -265,3 +270,19 @@ def test_usage_exit_codes():
     assert code == 2
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that stops after one line, as `| head -1` does, is not a mathematical failure."""
+    src = str(Path(msproots.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # about 188 kB of rows, more than a pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "msproots.cli", "expand", "--n", "10", "--format", "tsv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert first == b"1,1,1,1,1,1,1,1,1,1\t-1\n"
+    assert err == b""

@@ -325,10 +325,16 @@ def _inversion_sign(perm):
     return sign
 
 
-def test_parity_sign_matches_inversion_count():
+def test_leibniz_matches_literal_permutation_sum():
+    """The grouped row expansion against the permutation sum written out, signed by inversions."""
     for n in range(1, 8):
+        want = {}
         for perm in permutations(range(1, n + 1)):
-            assert groupdet._parity_sign(perm) == _inversion_sign(perm), perm
+            key = [0] * n
+            for i, s in enumerate(perm, start=1):
+                key[(i - s - 1) % n] += 1
+            want[tuple(key)] = want.get(tuple(key), 0) + _inversion_sign(perm)
+        assert dict(leibniz_determinant(n).items()) == {key: c for key, c in want.items() if c}, n
 
 
 def _records_by_sorted_partition(m):

@@ -17,6 +17,7 @@ from msproots.msp import (
     reduce_two_distinct,
     scale_partition,
 )
+from msproots.cyclotomic import CyclotomicInt
 from msproots.partitions import canonical_residues, enumerate_partitions
 
 
@@ -48,6 +49,50 @@ def test_naive_examples():
         assert naive((n,) * (k * n), n) == 1
     # brute force over the 6 distinct rearrangements at points (1, -1, 1, -1)
     assert naive((1, 1, 2, 2), 2) == -2
+
+
+def _literal_naive(parts, n):
+    """The rearrangement walk as first written: recurse through every position down to the leaf."""
+    length = len(parts)
+    counts = [0] * n
+    values = sorted(set(parts))
+    remaining = [parts.count(v) for v in values]
+
+    def walk(pos, exp):
+        if pos == length:
+            counts[exp] += 1
+            return
+        for idx, v in enumerate(values):
+            if remaining[idx]:
+                remaining[idx] -= 1
+                walk(pos + 1, (exp + v * pos) % n)
+                remaining[idx] += 1
+
+    walk(0, 0)
+    return CyclotomicInt(n, counts).to_integer()
+
+
+def _naive_edge_cases():
+    rng = random.Random(13)
+    for n in range(1, 8):
+        for k in range(1, 7 // n + 1):
+            kn = k * n
+            for v in range(-2, n + 3):  # every part equal: the root's run is forced
+                yield (v,) * kn, n, k
+            for a, b in [(0, 1), (1, n), (-1, n + 2), (2, 2 * n + 1)]:  # two distinct values
+                for i in range(kn + 1):
+                    yield (a,) * i + (b,) * (kn - i), n, k
+            for _ in range(6):  # parts negative or above n, repeats likely
+                yield tuple(rng.randrange(-n - 2, 2 * n + 3) for _ in range(kn)), n, k
+
+
+def test_naive_edge_cases_match_dp_and_the_literal_walk():
+    cases = list(_naive_edge_cases())
+    assert ((3,), 1, 1) in cases and ((-2,), 1, 1) in cases  # n = k = 1
+    for parts, n, k in cases:
+        inst = EvalInstance(parts, n, k)
+        value = msp_value_naive(inst)
+        assert value == msp_value_dp(inst) == _literal_naive(inst.parts, n), (parts, n, k)
 
 
 def test_dp_examples():

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
-from msproots.msp import BudgetExceeded
+from msproots.msp import BudgetExceeded, msp_values_dp
+from msproots.partitions import enumerate_partitions, format_partition
 from msproots.verify import (
     TheoremViolation,
     check_branching,
@@ -107,6 +109,27 @@ def test_suites_report_a_perturbed_value(monkeypatch, check, args, target, named
     perturb(monkeypatch, target)
     rep = check(*args)
     assert named in [f.instance for f in rep.failures], rep.failures
+
+
+@pytest.mark.parametrize("n,k,l,target", [
+    (2, 1, 1, (2, 2)),  # k = l: both halves are one map, squared
+    (3, 1, 2, (1, 2, 3)),  # a value at power k
+    (3, 1, 2, (1, 1, 2, 2, 3, 3)),  # a value at power l
+])
+def test_branching_reports_a_perturbed_half(monkeypatch, n, k, l, target):
+    """A bumped half value moves the split sum at exactly the mu = target + rest with a nonzero rest."""
+    assert check_branching(n, k, l).passed
+    other = l if len(target) == k * n else k
+    rests = msp_values_dp(enumerate_partitions(n, other * n), n, other)
+    if target in rests:  # k = l: the rest is read from the bumped family too
+        rests[target] += 1
+    want = {tuple(sorted(target + rest)) for rest, value in rests.items() if value}
+    containing = {mu for mu in enumerate_partitions(n, (k + l) * n) if not Counter(target) - Counter(mu)}
+    assert want and want < containing  # some mu containing the target keep their split sum
+    perturb(monkeypatch, target)
+    rep = check_branching(n, k, l)
+    assert {f.instance for f in rep.failures} == {f"mu={format_partition(mu)}" for mu in want}
+    assert len(rep.failures) == len(want)
 
 
 def edited(monkeypatch, name, n, k, edit):
