@@ -103,12 +103,9 @@ def _cmd_expand(args) -> int:
     records = orbit_expand(args.n, args.k, _budget(args)).to_records()
     if args.format == "json":
         print(json.dumps([{"lambda": text, "coefficient": c} for text, c in records]))
-    elif args.format == "tsv":
-        for text, c in records:
-            print(f"{text}\t{c}")
     else:
-        for text, c in records:
-            print(f"{text} {c}")
+        sep = "\t" if args.format == "tsv" else " "
+        sys.stdout.write("".join([f"{text}{sep}{c}\n" for text, c in records]))
     return EXIT_OK
 
 

@@ -142,18 +142,18 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     vector by one and adds its weight rotated by rows[r][j] into the
     child's weight. Only count vectors that are entrywise <= at least one
     of the (non-empty list of) targets are kept. For one target that is a
-    cap test per entry. For several it is a lookup in the set of every
-    vector below some target (the down-set), built once per call, unless
-    the targets are every vector of sum len(rows) below their entrywise
-    maximum: then their down-set is every vector of sum <= len(rows)
-    below that maximum, and a cap test per entry keeps the same vectors
-    without the set. The frontier after the last row is returned as an
-    iterator of (count vector, weight vector) pairs, unpacked one pair at
-    a time as it is read; every count vector in it sums to len(rows). The
-    walk itself is done before the call returns. With several targets and
-    a budget, BudgetExceeded is raised before the first row once the
-    down-set holds more than `budget` count vectors; a down-set that is
-    built is counted as it grows.
+    cap test per entry. For several the vectors below some target (the
+    down-set) are built once per call, one level per sum, and row r pulls:
+    each vector of level r + 1 sums the rotated weights of its parents in
+    level r, one per nonzero entry. If the targets are every vector of sum
+    len(rows) below their entrywise maximum, the down-set is every vector
+    of sum <= len(rows) below it, and a cap test keeps those without the
+    levels. The frontier after the last row (every count vector in it sums
+    to len(rows)) is returned as an iterator of (count vector, weight
+    vector) pairs, unpacked one pair at a time as it is read; the walk is
+    done before the call returns. With several targets and a budget,
+    BudgetExceeded is raised before the first row once the down-set holds
+    more than `budget` count vectors, counted as it is built.
 
     Inside the walk both vectors are packed into single ints (Kronecker
     substitution). A weight vector has n slots of `width` bits, so a
@@ -163,34 +163,28 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     rows when every kept vector has at most m nonzero entries. A kept
     vector lies below a target, so m is the most nonzero entries of any
     target; `width` holds that bound, so no slot carries into the next.
-    A count vector has one field of `b` bits per entry. Under a cap test
-    the field holds the largest cap, the test keeps every entry within
-    it, and it is skipped when no cap can bind. With a down-set the field
-    also holds one more than the largest target entry, so a child one
-    step past every target never carries into a vector of the down-set.
+    A count vector has one field of `b` bits per entry, which holds the
+    largest target entry: the cap test (skipped when no cap can bind)
+    keeps every entry within it, and a pull only lowers nonzero entries.
     """
     length, m = len(rows), len(targets[0])
     spread = max(len(t) - t.count(0) for t in targets)
     width = min(factorial(length), spread ** length).bit_length()
     mask = (1 << n * width) - 1
     caps = tuple([max(column) for column in zip(*targets)])
-    capped = len(targets) == 1 or _fills_box(targets, caps, length, budget)
-    top = max(caps, default=0)
-    b = (top if capped else top + 1).bit_length()
+    b = max(caps, default=0).bit_length()
     field = (1 << b) - 1
     fields = [b * j for j in range(m)]
-    if capped:
-        down = None
-        binds = any(c < length for c in caps)
-    else:
-        caps, down = (0,) * m, _down_set(targets, fields, field, budget)
+    capped = len(targets) == 1 or _fills_box(targets, caps, length, budget)
+    levels = None if capped else _down_levels(targets, fields, field, length, budget)
+    binds = any(c < length for c in caps)
     frontier = {0: 1}
-    for shifts in rows:
+    for r, shifts in enumerate(rows):
         steps = [(1 << pos, (t % n) * width, (n - t % n) * width, pos, c)
                  for t, pos, c in zip(shifts, fields, caps)]
         nxt = {}
-        get = nxt.get
-        if down is None:
+        if levels is None:
+            get = nxt.get
             for state, vec in frontier.items():
                 for one, left, right, pos, cap in steps:
                     if binds and (state >> pos) & field >= cap:
@@ -198,11 +192,14 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
                     child = state + one
                     nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
         else:
-            for state, vec in frontier.items():
-                for one, left, right, _, _ in steps:
-                    child = state + one
-                    if child in down:
-                        nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
+            level, levels[r + 1] = levels[r + 1], None
+            for state in level:
+                acc = 0
+                for one, left, right, pos, _ in steps:
+                    if (state >> pos) & field:
+                        vec = frontier[state - one]
+                        acc += ((vec << left) & mask) | (vec >> right)
+                nxt[state] = acc
         frontier = nxt
     slot = (1 << width) - 1
     slots = [width * e for e in range(n)]
@@ -234,15 +231,17 @@ def _check_down_set(states, budget):
                              "pass a larger budget to override")
 
 
-def _down_set(targets, fields, field, budget=None) -> set:
-    """Every packed count vector entrywise <= some target, by lowering one entry at a time.
+def _down_levels(targets, fields, field, length, budget=None) -> list:
+    """The packed count vectors entrywise <= some target, as one set per sum 0..length.
 
-    Raises BudgetExceeded as soon as the set holds more than `budget` vectors.
+    Level s holds the targets of sum s and each vector of level s + 1 with
+    one entry lowered. Raises BudgetExceeded once they hold more than `budget`.
     """
-    level = {sum([c << pos for c, pos in zip(t, fields)]) for t in targets}
-    down = set()
-    while level:
-        down |= level
-        _check_down_set(len(down), budget)
-        level = {s - (1 << pos) for s in level for pos in fields if (s >> pos) & field} - down
-    return down
+    packed = [(sum(t), sum([c << pos for c, pos in zip(t, fields)])) for t in targets]
+    levels, level, states = [], set(), 0
+    for s in range(max([length] + [t for t, _ in packed]), -1, -1):
+        level = {v - (1 << p) for v in level for p in fields if v >> p & field} | {v for t, v in packed if t == s}
+        states += len(level)
+        _check_down_set(states, budget)
+        levels.append(level)
+    return levels[::-1][:length + 1]

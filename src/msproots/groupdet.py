@@ -11,12 +11,15 @@ with exact integer coefficients.
 """
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations_with_replacement
 from math import gcd
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import DEFAULT_BUDGET, BudgetExceeded
-from .partitions import binomial, enumerate_partitions, is_prime, lambda_tilde_size
+from .partitions import binomial, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
 
@@ -61,6 +64,13 @@ class MonomialMap:
                 raise ValueError(f"exponent vector {key} does not fit degree {degree} in {n_vars} variables")
             clean[key] = coeff
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, n_vars, degree, terms):
+        """A map over terms already known to fit n_vars and degree and to hold no zero coefficient."""
+        self = object.__new__(cls)
+        self.n_vars, self.degree, self._terms = n_vars, degree, terms
+        return self
 
     def __len__(self):
         return len(self._terms)
@@ -121,8 +131,8 @@ class MonomialMap:
                     key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
         field = (1 << b) - 1
-        return MonomialMap(self.n_vars, degree,
-                           {tuple([(key >> pos) & field for pos in fields]): c for key, c in out.items()})
+        return MonomialMap._trusted(self.n_vars, degree, {tuple([(key >> pos) & field for pos in fields]): c
+                                                          for key, c in out.items() if c})
 
     def relabel(self, l: int) -> "MonomialMap":
         """Apply the variable relabeling x_v -> x_(l*v mod n), representatives in 1..n."""
@@ -142,11 +152,12 @@ class MonomialMap:
         """(partition text, coefficient) pairs sorted by partition for stable export.
 
         Every key has the same total, so descending order of exponent
-        vectors is ascending lexicographic order of their partitions.
+        vectors is ascending lexicographic order of their partitions. Keys
+        are distinct, so sorting them alone gives the order of the pairs.
         """
         labels = [f"{i + 1}," for i in range(self.n_vars)]
-        return [("".join([lab * e for lab, e in zip(labels, key)])[:-1], c)
-                for key, c in sorted(self._terms.items(), reverse=True)]
+        terms = self._terms
+        return [("".join(map(mul, labels, key))[:-1], terms[key]) for key in sorted(terms, reverse=True)]
 
     def __repr__(self):
         return f"MonomialMap(n_vars={self.n_vars}, degree={self.degree}, terms={len(self._terms)})"
@@ -258,29 +269,32 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
                 source = [0] * n  # source[j]: the variable index that lands on index j
                 for i in range(n):
                     source[(l * (i + 1) + c - 1) % n] = i
-                maps.append((source, -1 if c * (n - 1) % 2 else 1))
+                # itemgetter of one index returns a scalar; at n = 1 the one map is the identity
+                maps.append((itemgetter(*source) if n > 1 else tuple, -1 if c * (n - 1) % 2 else 1))
     orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
     reps = []
-    for lam in enumerate_partitions(n, n):
-        if sum(lam) % n:
+    # a key of part sum 0 mod n is its first n - 1 parts and the one last part in 1..n that fits
+    for head in combinations_with_replacement(range(1, n + 1), n - 1):
+        last = -sum(head) % n or n
+        if head and last < head[-1]:
             continue
-        key = exponent_key(lam, n)
+        key = [0] * n
+        for p in head + (last,):
+            key[p - 1] += 1
+        key = tuple(key)
         if key in orbit:
             continue
         reps.append(key)
-        for source, sign in maps:
-            orbit[tuple([key[i] for i in source])] = key, sign
+        for image, sign in maps:
+            orbit[image(key)] = key, sign
     if len(orbit) != lambda_tilde_size(n, 1):
         raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is "
                              f"{lambda_tilde_size(n, 1)}; arithmetic is broken")
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)]
     # the representatives all sum to n, so they are the whole final frontier
     values = {key: CyclotomicInt(n, vec).to_integer() for key, vec in shift_add_walk(rows, reps, n)}
-    det = MonomialMap(n, n, {key: sign * values[rep] for key, (rep, sign) in orbit.items()})
-    result = det
-    for _ in range(k - 1):
-        result = result * det
-    return result
+    det = {key: sign * values[rep] for key, (rep, sign) in orbit.items() if values[rep]}
+    return reduce(mul, [MonomialMap._trusted(n, n, det)] * k)
 
 
 class TermCount(NamedTuple):

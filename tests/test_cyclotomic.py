@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from msproots.cyclotomic import (
+    BudgetExceeded,
     CyclotomicInt,
     IntegralityViolation,
     _divmod_monic,
@@ -191,6 +192,10 @@ def test_shift_add_walk_matches_reference():
         ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP, 5),  # all but one of them, under the same maximum
         ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + GAP[:1], 5),  # as many, one repeated in place of one
         ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + [(1, 1, 2)], 5),  # as many, one of sum 4
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], [(2, 2, 1), (1, 0, 1), (0, 1, 0), (0, 4, 0)], 5),  # sums 5, 2, 1, 4
+        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], [(1, 0, 2), (2, 0, 1), (0, 0, 3)], 4),  # no target uses column 1
+        ([[2, 0, 1]], [(1, 0, 0), (0, 1, 0), (0, 0, 2)], 3),  # one row, several targets
+        ([], [(0, 3), (1, 1)], 4),  # no rows, several targets
     ]
     for _ in range(150):
         n = rng.randrange(1, 13)
@@ -216,3 +221,32 @@ def test_shift_add_walk_matches_reference():
         if len(targets) == 1:
             assert want == reference_walk(rows, targets[0], n)
         assert dict(shift_add_walk(rows, targets, n)) == want, (rows, targets, n)
+
+
+class Rows(list):
+    """Rows that record each time the walk starts iterating them."""
+
+    def __init__(self, rows, walked):
+        super().__init__(rows)
+        self.walked = walked
+
+    def __iter__(self):
+        self.walked.append(len(self))
+        return super().__iter__()
+
+
+def test_multi_target_budget_boundary_is_the_down_set_size():
+    rows = [[1, 2, 0], [2, 2, 1], [0, 3, 1]]
+    targets = [(2, 2, 1), (1, 0, 1), (0, 4, 0)]  # sums 5, 2 and 4 over 3 rows
+    states = sum(any(all(c <= t for c, t in zip(v, target)) for target in targets)
+                 for v in product(range(3), range(5), range(2)))
+    assert states == 20  # 18 below (2, 2, 1), which holds (1, 0, 1), and (0, 3, 0), (0, 4, 0)
+    want = pruned_reference(rows, targets, 5)
+    walked = []
+    with pytest.raises(BudgetExceeded) as exc:
+        shift_add_walk(Rows(rows, walked), targets, 5, states - 1)
+    assert str(exc.value) == (f"the walk's down-set passes the budget of {states - 1} DP states; "
+                              "pass a larger budget to override")
+    assert walked == []
+    assert dict(shift_add_walk(Rows(rows, walked), targets, 5, states)) == want
+    assert walked == [3]

@@ -27,6 +27,8 @@ RUNS = (
        ["expand", "--n", "1", "--k", "2"], ["expand", "--n", "10", "--k", "1", "--format", "tsv"],
        ["expand", "--n", "6", "--k", "3", "--format", "tsv"],
        ["expand", "--n", "4", "--format", "plain"]]
+    + [["expand", "--n", "7", "--k", "2", "--format", fmt] for fmt in ("plain", "json")]
+    + [["expand", "--n", "9", "--k", "1", "--format", "plain"]]
     + [["count", "--n", "6"], ["count", "--n", "7"], ["count", "--n", "8"], ["count", "--n", "4", "--k", "2"]]
     + [["eval", "--n", n, "--k", k, "--lambda", lam, "--method", m]
        for n, k, lam in EVAL_CLOSED for m in ("dp", "naive", "closed", "auto")]
@@ -58,6 +60,9 @@ GOLDEN = {
     "expand --n 10 --k 1 --format tsv": "e4000c490950359f780b1e10f119c1d48471f9c4dc209c77b39d2810cc39fe51",
     "expand --n 6 --k 3 --format tsv": "9fc11de3050af59bdc75add98aef986fbf1c513b4844112db2704c242ece8a5f",
     "expand --n 4 --format plain": "20d6c9636e37598a0b48154ac66788c53661c84100166b578f18e77550d207f7",
+    "expand --n 7 --k 2 --format plain": "2ab7152b255a139e48a868f064431a440a79aecbfb9ccf9f9b801822177a7272",
+    "expand --n 7 --k 2 --format json": "2ec7e54da7af37fbee2c514ce1e6a4cae26c5008892a5dd7ad4176c2018942e2",
+    "expand --n 9 --k 1 --format plain": "703c2733bfd80ded31b4b08366c5afb135826a142b8fb3a542e0b5163ad4b6ff",
     "count --n 6": "3e9553e9a6fe1e3e23056ee849cb32cba30762866b7185cd89d6d3fe94341511",
     "count --n 7": "015493aea084ce3d046c94f90ca2cb02ef0a0f1df5ba18e11418ddf7d621793a",
     "count --n 8": "049cb28ab2c1c4b0d8e68cfed0ba6407593071a978920a02d128274a29bb0bb3",

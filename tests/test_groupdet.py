@@ -145,6 +145,19 @@ def test_orbit_expand_checks_the_orbit_cover(monkeypatch):
         orbit_expand(6, 1)
 
 
+def test_orbit_expand_maps_pass_the_validating_constructor():
+    """The fill and the product build their maps unchecked; the public constructor accepts them as they are."""
+    for n, k in [(n, 1) for n in range(1, 11)] + [(n, 2) for n in range(1, 7)]:
+        m = orbit_expand(n, k)
+        terms = dict(m.items())
+        assert 0 not in terms.values(), (n, k)
+        assert m == MonomialMap(n, k * n, terms), (n, k)
+    m = orbit_expand(7, 2)
+    terms = list(m.items())
+    random.Random(11).shuffle(terms)
+    assert MonomialMap(7, 14, dict(terms)).to_records() == m.to_records()
+
+
 def test_affine_relabeling_sign_law_on_walk():
     """x_j -> x_(l*j + c) with gcd(l, n) = 1 multiplies each determinant
     coefficient by (-1)^(c(n-1)); this is the law orbit_expand relies on."""
