@@ -228,8 +228,7 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     and added); each final coefficient is read out to an integer exactly
     once, which raises IntegralityViolation if anything non-integral
     survives. Completed expansions are cached per (n, k). This literal
-    product is the reference that check_thm32 and the tests compare
-    orbit_expand against.
+    product is the reference that the tests compare orbit_expand against.
     """
     _check_budget(n, k, budget)
     cached = _expansions.get((n, k))

@@ -56,7 +56,9 @@ def msp_value_naive(inst: EvalInstance) -> int:
     ever needed) and accumulates one zeta exponent per leaf. Unplaced
     parts travel down as (value, copies) pairs; once one value v is left
     the branch is forced, and v times the sum of the remaining positions
-    closes it in one step. Exponential cost; guarded to short lengths.
+    closes it in one step. Two or three values left for the last three
+    positions close as one leaf per distinct order. Exponential cost;
+    guarded to short lengths.
     """
     n = inst.n
     length = len(inst.parts)
@@ -64,10 +66,22 @@ def msp_value_naive(inst: EvalInstance) -> int:
         raise BudgetExceeded(f"naive evaluation is limited to {NAIVE_LENGTH_LIMIT} parts, got {length}")
     counts = [0] * n
     tail = [(pos + length - 1) * (length - pos) // 2 for pos in range(length)]  # pos + ... + length-1
+    last = length - 3
 
     def walk(pos, exp, left):
         if len(left) == 1:
             counts[(exp + left[0][0] * tail[pos]) % n] += 1
+            return
+        if pos == last:  # an order (a, b, c) of the last three adds (a + b + c) * pos + b + 2c
+            exp += pos * sum([v * copies for v, copies in left])
+            if len(left) == 3:
+                (a, _), (b, _), (c, _) = left
+                offsets = (b + 2 * c, c + 2 * b, a + 2 * c, c + 2 * a, a + 2 * b, b + 2 * a)
+            else:  # a twice and c once: the orders (a, a, c), (a, c, a) and (c, a, a)
+                (a, _), (c, _) = left if left[0][1] == 2 else left[::-1]
+                offsets = (a + 2 * c, c + 2 * a, 3 * a)
+            for offset in offsets:
+                counts[(exp + offset) % n] += 1
             return
         for idx, (v, copies) in enumerate(left):
             rest = left[:idx] + ((v, copies - 1),) + left[idx + 1:] if copies > 1 else left[:idx] + left[idx + 1:]

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import gcd, prod
+from operator import getitem
 
 from .cyclotomic import CyclotomicInt
 from .groupdet import (
     LEIBNIZ_LIMIT,
     MonomialMap,
-    dedekind_expand,
     exponent_key,
     key_partition,
     leibniz_determinant,
@@ -38,7 +38,6 @@ from .msp import (
     msp_values_dp,
     prime_nonvanishing,
     reduce_two_distinct,
-    scale_partition,
 )
 from .partitions import (
     binomial,
@@ -55,6 +54,8 @@ EXHAUSTIVE_CAP = 2500
 COEFFICIENT_SWEEP_CAP = 650
 PROP21_CAP = 200
 LEMMA_PERMUTATION_LIMIT = 7
+EVALUATION_POINTS = 2
+EVALUATION_PRIME = 2**61 - 1
 
 
 class TheoremViolation(AssertionError):
@@ -246,13 +247,57 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
 
 def check_thm11(n: int, k: int, budget: int | None = None) -> VerificationReport:
     """Prime nonvanishing equivalence, the two-block closed form, and the block reduction."""
+    return _run("thm11", ["thm11"], n, k, budget)
+
+
+def check_thm12(n: int, k: int, budget: int | None = None) -> VerificationReport:
+    """Near-identity pattern values, vanishing off the residue class, unit scaling.
+
+    Integrality is not a separate sweep: every evaluator readout already
+    asserts it.
+    """
+    return _run("thm12", ["thm12"], n, k, budget)
+
+
+def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport:
+    """The expansion that expand prints (orbit_expand's) against the determinant and the evaluators.
+
+    Where neither the Leibniz route nor the coefficient sweep covers the map,
+    it is checked at seeded points mod a prime against the determinant from elimination.
+    """
+    return _run("thm32", ["thm32"], n, k, budget)
+
+
+def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationReport:
+    """Every applicable theorem suite in one report, sections prefixed per suite."""
+    return _run("theorems", ["thm11", "thm12", "thm32"], n, k, budget)
+
+
+def _run(suite, names, n, k, budget) -> VerificationReport:
+    """One report from one msp_values_dp batch over the partitions that every named plan reads.
+
+    A plan takes (n, k, budget) and returns those partitions and a check,
+    which takes their values, a sections dict and a failure list and fills
+    both. With several plans each section is prefixed by its plan's name.
+    """
     t0 = time.perf_counter()
-    kn = k * n
+    plans = [(name, *_PLANS[name](n, k, budget)) for name in names]
+    values = msp_values_dp([lam for _, lams, _ in plans for lam in lams], n, k, budget)
     sections = {}
     failures = []
+    for name, _, check in plans:
+        own = {}
+        check(values, own, failures)
+        prefix = f"{name}." if len(plans) > 1 else ""
+        sections.update((prefix + section, cnt) for section, cnt in own.items())
+    elapsed = (time.perf_counter() - t0) * 1000
+    return VerificationReport(suite, n, k, sum(sections.values()), failures, elapsed, sections=sections)
+
+
+def _thm11_plan(n, k, budget):
+    kn = k * n
     prime = k == 1 and is_prime(n)
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    budget = DEFAULT_BUDGET if budget is None else budget
     # The prime family's multiplicity vectors are every vector of sum n over the n
     # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
     # DP states. Checked here so that the family is not enumerated first.
@@ -271,50 +316,39 @@ def check_thm11(n: int, k: int, budget: int | None = None) -> VerificationReport
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
                 lam = tuple(sorted((lam1,) * a + (lam2,) * (kn - a)))
                 pairs.append((lam1, lam2, a, lam, sign, reduced.parts))
-    values = msp_values_dp(family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs],
-                           n, k, budget)
 
-    if prime:
-        for lam in family:
-            nonzero = values[lam] != 0
-            want = prime_nonvanishing(lam, n)
-            if nonzero != want:
-                failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
-                                        f"nonzero={want}", f"nonzero={nonzero}"))
-        sections["prime_equivalence"] = len(family)
+    def check(values, sections, failures):
+        if prime:
+            for lam in family:
+                nonzero = values[lam] != 0
+                want = prime_nonvanishing(lam, n)
+                if nonzero != want:
+                    failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
+                                            f"nonzero={want}", f"nonzero={nonzero}"))
+            sections["prime_equivalence"] = len(family)
 
-    for lam1, a, lam in blocks:
-        got = values[lam]
-        want = closed_form_two_blocks(lam1, a, n, k)
-        if got != want:
-            failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", str(want), str(got)))
-        elif sum(lam) % n == 0 and want == 0:
-            failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", "nonzero", "0"))
-    sections["two_block_closed_form"] = len(blocks)
+        for lam1, a, lam in blocks:
+            got = values[lam]
+            want = closed_form_two_blocks(lam1, a, n, k)
+            if got != want:
+                failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", str(want), str(got)))
+            elif sum(lam) % n == 0 and want == 0:
+                failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", "nonzero", "0"))
+        sections["two_block_closed_form"] = len(blocks)
 
-    for lam1, lam2, a, lam, sign, reduced in pairs:
-        got = values[lam]
-        want = sign * values[reduced]
-        if got != want:
-            failures.append(Failure(f"thm11_3 lambda1={lam1} lambda2={lam2} a={a}",
-                                    str(want), str(got)))
-    sections["two_distinct_reduction"] = len(pairs)
+        for lam1, lam2, a, lam, sign, reduced in pairs:
+            got = values[lam]
+            want = sign * values[reduced]
+            if got != want:
+                failures.append(Failure(f"thm11_3 lambda1={lam1} lambda2={lam2} a={a}",
+                                        str(want), str(got)))
+        sections["two_distinct_reduction"] = len(pairs)
 
-    elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("thm11", n, k, sum(sections.values()), failures, elapsed, sections=sections)
+    return family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs], check
 
 
-def check_thm12(n: int, k: int, budget: int | None = None) -> VerificationReport:
-    """Near-identity pattern values, vanishing off the residue class, unit scaling.
-
-    Integrality is not a separate sweep: every evaluator readout already
-    asserts it.
-    """
-    t0 = time.perf_counter()
+def _thm12_plan(n, k, budget):
     kn = k * n
-    sections = {}
-    failures = []
-
     candidates = []
     if kn >= 2:
         candidates += [(u, v) for u in range(1, n) for v in range(u, n)]
@@ -328,125 +362,136 @@ def check_thm12(n: int, k: int, budget: int | None = None) -> VerificationReport
         if want is not None:
             patterns.append((lam, want))
     exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
-    family = list(enumerate_partitions(n, kn)) if exhaustive else []
-    values = msp_values_dp([lam for lam, _ in patterns] + family, n, k, budget)  # unit scaling keeps to the family
+    family = list(enumerate_partitions(n, kn)) if exhaustive else []  # unit scaling keeps to the family
 
-    for lam, want in patterns:
-        got = values[lam]
-        if got != want or want == 0:
-            failures.append(Failure(f"thm12_pattern lambda={format_partition(lam)}",
-                                    f"{want} (nonzero)", str(got)))
-    sections["near_identity_patterns"] = len(patterns)
+    def check(values, sections, failures):
+        for lam, want in patterns:
+            got = values[lam]
+            if got != want or want == 0:
+                failures.append(Failure(f"thm12_pattern lambda={format_partition(lam)}",
+                                        f"{want} (nonzero)", str(got)))
+        sections["near_identity_patterns"] = len(patterns)
 
-    if exhaustive:
-        cnt = 0
-        for lam in family:
-            if sum(lam) % n == 0:
-                continue
-            cnt += 1
-            val = values[lam]
-            if val != 0:
-                failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(val)))
-        sections["vanishing_off_residue"] = cnt
+        if exhaustive:
+            off = [lam for lam in family if sum(lam) % n]
+            for lam in off:
+                if values[lam] != 0:
+                    failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(values[lam])))
+            sections["vanishing_off_residue"] = len(off)
 
-        units = [l for l in range(2, n + 1) if gcd(l, n) == 1]
-        for lam in family:
-            base = values[lam]
-            for l in units:
-                got = values[scale_partition(lam, l, n)]
-                if got != base:
-                    failures.append(Failure(f"thm12_8 lambda={format_partition(lam)} l={l}",
-                                            str(base), str(got)))
-        sections["unit_scaling"] = len(family) * len(units)
+            # scale_partition by the unit l, read from a table of the residues of l * p in 1..n
+            scalings = [(l, [0] + [(l * p - 1) % n + 1 for p in range(1, n + 1)])
+                        for l in range(2, n + 1) if gcd(l, n) == 1]
+            for lam in family:
+                base = values[lam]
+                for l, residue in scalings:
+                    got = values[tuple(sorted(map(residue.__getitem__, lam)))]
+                    if got != base:
+                        failures.append(Failure(f"thm12_8 lambda={format_partition(lam)} l={l}",
+                                                str(base), str(got)))
+            sections["unit_scaling"] = len(family) * len(scalings)
 
-    elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("thm12", n, k, sum(sections.values()), failures, elapsed, sections=sections)
+    return [lam for lam, _ in patterns] + family, check
 
 
-def check_thm32(n: int, k: int, budget: int | None = None) -> VerificationReport:
-    """Expansion coefficients versus evaluator values, plus the determinant cross-checks."""
-    t0 = time.perf_counter()
-    sections = {}
-    failures = []
-    expansion = dedekind_expand(n, k, budget)
-
-    cnt = 0
-    for key in expansion:
-        cnt += 1
-        if sum((i + 1) * e for i, e in enumerate(key)) % n:
-            failures.append(Failure(f"thm32_key lambda={format_partition(key_partition(key))}",
-                                    "part sum divisible by n", "not divisible"))
-    sections["residue_divisibility"] = cnt
-
-    if k == 1 and n <= LEIBNIZ_LIMIT:
-        det = leibniz_determinant(n)
-        cnt = 0
-        for key in sorted(set(expansion) | set(det)):
-            a = expansion.coefficient(key)
-            b = det.coefficient(key)
-            cnt += 1
-            if a != b:
-                failures.append(Failure(f"thm32_leibniz lambda={format_partition(key_partition(key))}",
-                                        str(b), str(a)))
-        sections["determinant_routes"] = cnt
-
+def _thm32_plan(n, k, budget):
+    expansion = orbit_expand(n, k, budget)
     tilde = lambda_tilde_size(n, k)
-    if tilde <= COEFFICIENT_SWEEP_CAP:
+    sweep = tilde <= COEFFICIENT_SWEEP_CAP
+    lams = []
+    if sweep:
         lams = [lam for lam in enumerate_partitions(n, k * n) if sum(lam) % n == 0]
         if len(lams) != tilde:
             raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
-        run_naive = k * n <= NAIVE_LENGTH_LIMIT
-        values = msp_values_dp(lams, n, k, budget)
-        for lam in lams:
-            dp = values[lam]
-            coeff = expansion.coefficient(exponent_key(lam, n))
-            if dp != coeff:
-                failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
-                                        str(coeff), str(dp)))
+
+    def check(values, sections, failures):
+        for key in expansion:
+            if sum((i + 1) * e for i, e in enumerate(key)) % n:
+                failures.append(Failure(f"thm32_key lambda={format_partition(key_partition(key))}",
+                                        "part sum divisible by n", "not divisible"))
+        sections["residue_divisibility"] = len(expansion)
+
+        if k == 1 and n <= LEIBNIZ_LIMIT:
+            det = leibniz_determinant(n)
+            keys = sorted(set(expansion) | set(det))
+            for key in keys:
+                a, b = expansion.coefficient(key), det.coefficient(key)
+                if a != b:
+                    failures.append(Failure(f"thm32_leibniz lambda={format_partition(key_partition(key))}",
+                                            str(b), str(a)))
+            sections["determinant_routes"] = len(keys)
+        elif not sweep:
+            rng = random.Random(f"thm32:{n}:{k}")
+            for point in range(EVALUATION_POINTS):
+                x = [rng.randrange(EVALUATION_PRIME) for _ in range(n)]
+                # C(x)[i][s] is the variable labelled by i - s mod n, as in leibniz_determinant
+                det = _det_mod([[x[(i - s - 1) % n] for s in range(n)] for i in range(n)], EVALUATION_PRIME)
+                want = pow(det, k, EVALUATION_PRIME)
+                got = _evaluate_mod(expansion, x, EVALUATION_PRIME)
+                if got != want:
+                    failures.append(Failure(f"thm32_evaluation point={point}", str(want), str(got)))
+            sections["evaluation_points"] = EVALUATION_POINTS
+
+        if sweep:
+            run_naive = k * n <= NAIVE_LENGTH_LIMIT
+            for lam in lams:
+                dp = values[lam]
+                coeff = expansion.coefficient(exponent_key(lam, n))
+                if dp != coeff:
+                    failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
+                                            str(coeff), str(dp)))
+                if run_naive:
+                    naive = msp_value_naive(EvalInstance(lam, n, k))
+                    if naive != dp:
+                        failures.append(Failure(f"thm32_naive lambda={format_partition(lam)}",
+                                                str(dp), str(naive)))
+            sections["coefficient_agreement"] = len(lams)
             if run_naive:
-                naive = msp_value_naive(EvalInstance(lam, n, k))
-                if naive != dp:
-                    failures.append(Failure(f"thm32_naive lambda={format_partition(lam)}",
-                                            str(dp), str(naive)))
-        sections["coefficient_agreement"] = len(lams)
-        if run_naive:
-            sections["naive_agreement"] = len(lams)
+                sections["naive_agreement"] = len(lams)
 
-    if k == 1 and is_prime(n):
-        nu = len(expansion)
-        want = prime_term_count(n)
-        sections["prime_term_count"] = 1
-        if not nu == want == tilde:
-            failures.append(Failure(f"corollary p={n}", f"nu={want} equal=True",
-                                    f"nu={nu} lambda_tilde={tilde} equal={nu == tilde}"))
+        if k == 1 and is_prime(n):
+            nu, want = len(expansion), prime_term_count(n)
+            sections["prime_term_count"] = 1
+            if not nu == want == tilde:
+                failures.append(Failure(f"corollary p={n}", f"nu={want} equal=True",
+                                        f"nu={nu} lambda_tilde={tilde} equal={nu == tilde}"))
 
-    cnt = 0
-    for l in range(2, n + 1):
-        if gcd(l, n) != 1:
-            continue
-        cnt += 1
-        if expansion.relabel(l) != expansion:
-            failures.append(Failure(f"thm32_automorphism l={l}", "expansion fixed", "expansion moved"))
-    sections["automorphism_invariance"] = cnt
+        units = [l for l in range(2, n + 1) if gcd(l, n) == 1]
+        for l in units:
+            if expansion.relabel(l) != expansion:
+                failures.append(Failure(f"thm32_automorphism l={l}", "expansion fixed", "expansion moved"))
+        sections["automorphism_invariance"] = len(units)
 
-    elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("thm32", n, k, sum(sections.values()), failures, elapsed, sections=sections)
+    return lams, check
 
 
-def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationReport:
-    """Every applicable theorem suite in one report, sections prefixed per suite."""
-    t0 = time.perf_counter()
-    reports = [check_thm11(n, k, budget), check_thm12(n, k, budget), check_thm32(n, k, budget)]
-    sections = {}
-    failures = []
-    total = 0
-    for rep in reports:
-        for name, cnt in rep.sections.items():
-            sections[f"{rep.suite}.{name}"] = cnt
-        failures.extend(rep.failures)
-        total += rep.instances_checked
-    elapsed = (time.perf_counter() - t0) * 1000
-    return VerificationReport("theorems", n, k, total, failures, elapsed, sections=sections)
+_PLANS = {"thm11": _thm11_plan, "thm12": _thm12_plan, "thm32": _thm32_plan}
+
+
+def _det_mod(rows, p: int) -> int:
+    """Determinant mod the prime p of a square integer matrix, by Gaussian elimination."""
+    rows = [[a % p for a in row] for row in rows]
+    det = 1
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        head = rows[c]
+        det = det * head[c] % p
+        inverse = pow(head[c], -1, p)
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] * inverse % p
+            rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], head)]
+    return det
+
+
+def _evaluate_mod(poly: MonomialMap, x, p: int) -> int:
+    """The sum of c * x^e over the terms of the map, mod p."""
+    powers = [[pow(v, e, p) for e in range(poly.degree + 1)] for v in x]
+    return sum(prod(map(getitem, powers, key), start=c) % p for key, c in poly.items()) % p
 
 
 def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureReport:

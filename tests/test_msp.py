@@ -51,8 +51,11 @@ def test_naive_examples():
     assert naive((1, 1, 2, 2), 2) == -2
 
 
-def _literal_naive(parts, n):
-    """The rearrangement walk as first written: recurse through every position down to the leaf."""
+def _literal_counts(parts, n):
+    """The rearrangement walk as first written: recurse through every position down to the leaf.
+
+    counts[e] is the number of distinct rearrangements with zeta exponent e.
+    """
     length = len(parts)
     counts = [0] * n
     values = sorted(set(parts))
@@ -69,7 +72,11 @@ def _literal_naive(parts, n):
                 remaining[idx] += 1
 
     walk(0, 0)
-    return CyclotomicInt(n, counts).to_integer()
+    return counts
+
+
+def _literal_naive(parts, n):
+    return CyclotomicInt(n, _literal_counts(parts, n)).to_integer()
 
 
 def _naive_edge_cases():
@@ -93,6 +100,20 @@ def test_naive_edge_cases_match_dp_and_the_literal_walk():
         inst = EvalInstance(parts, n, k)
         value = msp_value_naive(inst)
         assert value == msp_value_dp(inst) == _literal_naive(inst.parts, n), (parts, n, k)
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (4, 2), (3, 3), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
+def test_naive_closes_count_each_rearrangement_once(monkeypatch, n, k):
+    """The forced and three-position closes give the literal walk's leaf counts and the batched DP's values."""
+    from msproots import msp
+
+    leaves = []
+    monkeypatch.setattr(msp, "CyclotomicInt", lambda order, counts: leaves.append(counts) or CyclotomicInt(order, counts))
+    lams = [lam for lam in enumerate_partitions(n, k * n) if sum(lam) % n == 0]
+    values = msp_values_dp(lams, n, k)
+    for lam in lams:
+        assert msp_value_naive(EvalInstance(lam, n, k)) == values[lam], (n, k, lam)
+        assert leaves.pop() == _literal_counts(lam, n), (n, k, lam)
 
 
 def test_dp_examples():

@@ -37,3 +37,16 @@ def test_circulant_determinant_matches_sympy():
         want = sympy.Poly(matrix.det(method="berkowitz"), *xs).as_dict()
         assert dict(leibniz_determinant(n).items()) == want, n
         assert dict(dedekind_expand(n, 1).items()) == want, n
+
+
+def test_modular_elimination_matches_sympy_det():
+    from msproots.verify import EVALUATION_PRIME, _det_mod
+
+    rng = random.Random(11)
+    matrices = [[[0, 1], [1, 0]], [[0, 0], [0, 5]], [[2, 4], [1, 2]]]  # a row swap, a zero column, rank 1
+    for n in range(1, 7):
+        matrices += [[[rng.randrange(-EVALUATION_PRIME, EVALUATION_PRIME) for _ in range(n)] for _ in range(n)]
+                     for _ in range(4)]
+        matrices.append([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
+    for rows in matrices:
+        assert _det_mod(rows, EVALUATION_PRIME) == sympy.Matrix(rows).det() % EVALUATION_PRIME, rows

@@ -1,5 +1,7 @@
 import json
+import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -159,7 +161,7 @@ def edited(monkeypatch, name, n, k, edit):
 ])
 def test_thm32_reports_a_perturbed_expansion(monkeypatch, n, k, edit, named):
     assert check_thm32(n, k).passed
-    terms = edited(monkeypatch, "dedekind_expand", n, k, edit)
+    terms = edited(monkeypatch, "orbit_expand", n, k, edit)
     rep = check_thm32(n, k)
     assert [f.instance for f in rep.failures] == named
     if "corollary p=3" in named:  # the term count is read from the edited expansion
@@ -171,13 +173,90 @@ def test_thm32_reports_a_perturbed_expansion(monkeypatch, n, k, edit, named):
 def test_thm32_counts_prime_terms_from_its_own_expansion(monkeypatch):
     from msproots import groupdet, verify
 
-    def boom(*args, **kwargs):
-        raise AssertionError("a second expansion by the orbit route")
+    calls = []
 
-    monkeypatch.setattr(verify, "orbit_expand", boom)
-    monkeypatch.setattr(groupdet, "orbit_expand", boom)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return groupdet.orbit_expand(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "orbit_expand", counted)
     rep = check_thm32(5, 1)
     assert rep.passed and rep.sections["prime_term_count"] == 1
+    assert calls == [(5, 1, None)]
+
+
+def orbit_images(key, n):
+    """The key's images under the relabelings x_j -> x_(l*j + c) with gcd(l, n) = 1."""
+    images = set()
+    for l in range(1, n + 1):
+        if gcd(l, n) == 1:
+            for c in range(n):
+                image = [0] * n
+                for i, e in enumerate(key):
+                    image[(l * (i + 1) + c - 1) % n] = e
+                images.add(tuple(image))
+    return images
+
+
+def flip_orbit(terms, n):
+    for image in orbit_images(min(terms), n):
+        terms[image] = -terms[image]
+
+
+def drop_key(terms, n):
+    terms.pop(min(terms))
+
+
+def raise_by_one(terms, n):
+    terms[max(terms)] += 1
+
+
+@pytest.mark.parametrize("n,k", [(9, 1), (10, 1), (6, 2)])
+@pytest.mark.parametrize("edit", [flip_orbit, drop_key, raise_by_one])
+def test_thm32_evaluation_catches_a_mutated_expansion(monkeypatch, n, k, edit):
+    """Past the Leibniz route and the coefficient sweep, the seeded points see each mutation."""
+    honest = check_thm32(n, k)
+    assert honest.passed and honest.sections["evaluation_points"] == 2
+    assert "determinant_routes" not in honest.sections and "coefficient_agreement" not in honest.sections
+    edited(monkeypatch, "orbit_expand", n, k, lambda t: edit(t, n))
+    names = [f.instance for f in check_thm32(n, k).failures]
+    assert "thm32_evaluation point=0" in names and "thm32_evaluation point=1" in names
+    if edit is flip_orbit:  # the relabelings map the flipped orbit onto itself: only the points see it
+        assert names == ["thm32_evaluation point=0", "thm32_evaluation point=1"]
+
+
+def test_modular_elimination_matches_the_permutation_sum():
+    from msproots.groupdet import leibniz_determinant
+    from msproots.verify import EVALUATION_PRIME, _det_mod, _evaluate_mod
+
+    rng = random.Random(5)
+    for n in range(1, 9):
+        det = leibniz_determinant(n)
+        for _ in range(3):
+            x = [rng.randrange(EVALUATION_PRIME) for _ in range(n)]
+            circulant = [[x[(i - s - 1) % n] for s in range(n)] for i in range(n)]
+            assert _det_mod(circulant, EVALUATION_PRIME) == _evaluate_mod(det, x, EVALUATION_PRIME), (n, x)
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (8, 1), (5, 2), (4, 3)])
+def test_check_theorems_walks_once_and_merges_the_three_reports(monkeypatch, n, k):
+    from msproots import verify
+
+    perturb(monkeypatch, (1,) * (k * n))  # a two-block value, a scaling base, and a swept coefficient
+    separate = [check(n, k) for check in (check_thm11, check_thm12, check_thm32)]
+    batches = []
+    perturbed = verify.msp_values_dp
+
+    def one_batch(partitions, *args):
+        batches.append(partitions)
+        return perturbed(partitions, *args)
+
+    monkeypatch.setattr(verify, "msp_values_dp", one_batch)
+    rep = check_theorems(n, k)
+    assert len(batches) == 1
+    assert rep.sections == {f"{r.suite}.{name}": cnt for r in separate for name, cnt in r.sections.items()}
+    assert [f.to_dict() for f in rep.failures] == [f.to_dict() for r in separate for f in r.failures]
+    assert rep.failures and rep.instances_checked == sum(r.instances_checked for r in separate)
 
 
 def test_explore_conjecture_raises_on_a_zero_at_a_prime(monkeypatch):
