@@ -12,14 +12,13 @@ with exact integer coefficients.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations_with_replacement
 from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicInt, shift_add_walk
 from .msp import DEFAULT_BUDGET, BudgetExceeded
-from .partitions import binomial, is_prime, lambda_tilde_size
+from .partitions import admissible_keys, binomial, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
 
@@ -32,6 +31,13 @@ def exponent_key(parts, n: int) -> tuple:
             raise ValueError(f"part {p} outside 1..{n}")
         key[p - 1] += 1
     return tuple(key)
+
+
+def relabeling(n: int, l: int, c: int = 0):
+    """The key map of the relabeling x_j -> x_(l*j + c): one operator.itemgetter over an exponent vector."""
+    source = [(pow(l, -1, n) * (j + 1 - c) - 1) % n for j in range(n)]  # the index that lands on j
+    # itemgetter of one index returns a scalar; at n = 1 the one map is the identity
+    return itemgetter(*source) if n > 1 else tuple
 
 
 def key_partition(key) -> tuple:
@@ -77,6 +83,9 @@ class MonomialMap:
 
     def __iter__(self):
         return iter(self._terms)
+
+    def __contains__(self, key):
+        return tuple(key) in self._terms
 
     def items(self):
         return self._terms.items()
@@ -139,14 +148,8 @@ class MonomialMap:
         n = self.n_vars
         if gcd(l, n) != 1:
             raise ValueError(f"relabeling factor {l} must be coprime to {n}")
-        out = {}
-        for key, c in self._terms.items():
-            new = [0] * n
-            for i, e in enumerate(key):
-                if e:
-                    new[(l * (i + 1) - 1) % n] = e
-            out[tuple(new)] = c
-        return MonomialMap(n, self.degree, out)
+        terms = self._terms
+        return MonomialMap._trusted(n, self.degree, dict(zip(map(relabeling(n, l), terms), terms.values())))
 
     def to_records(self):
         """(partition text, coefficient) pairs sorted by partition for stable export.
@@ -261,26 +264,11 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     Same guard as dedekind_expand; nothing is memoized.
     """
     _check_budget(n, k, budget)
-    maps = []
-    for l in range(1, n + 1):
-        if gcd(l, n) == 1:
-            for c in range(n):
-                source = [0] * n  # source[j]: the variable index that lands on index j
-                for i in range(n):
-                    source[(l * (i + 1) + c - 1) % n] = i
-                # itemgetter of one index returns a scalar; at n = 1 the one map is the identity
-                maps.append((itemgetter(*source) if n > 1 else tuple, -1 if c * (n - 1) % 2 else 1))
+    maps = [(relabeling(n, l, c), -1 if c * (n - 1) % 2 else 1)
+            for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
     orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
     reps = []
-    # a key of part sum 0 mod n is its first n - 1 parts and the one last part in 1..n that fits
-    for head in combinations_with_replacement(range(1, n + 1), n - 1):
-        last = -sum(head) % n or n
-        if head and last < head[-1]:
-            continue
-        key = [0] * n
-        for p in head + (last,):
-            key[p - 1] += 1
-        key = tuple(key)
+    for key in admissible_keys(n, n):
         if key in orbit:
             continue
         reps.append(key)

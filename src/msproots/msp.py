@@ -51,14 +51,15 @@ class EvalInstance:
 def msp_value_naive(inst: EvalInstance) -> int:
     """Reference evaluator: sum over all distinct rearrangements of the parts.
 
-    Walks the tree of multiset permutations directly (each distinct
-    rearrangement is visited exactly once, so no stabilizer division is
-    ever needed) and accumulates one zeta exponent per leaf. Unplaced
-    parts travel down as (value, copies) pairs; once one value v is left
-    the branch is forced, and v times the sum of the remaining positions
-    closes it in one step. Two or three values left for the last three
-    positions close as one leaf per distinct order. Exponential cost;
-    guarded to short lengths.
+    Walks the tree of multiset permutations directly, visiting each
+    distinct rearrangement once, and counts the words per zeta exponent
+    mod n. Unplaced parts travel down as (value, copies) pairs; once one
+    value v is left the branch is forced and closes in one step, and two
+    or three values left for the last three positions close as one leaf
+    per distinct order. When n divides the part sum, rotations keep the
+    residue (Lemma 2.4's cyclic shift): only the words that start with one
+    value are walked, and the counts are scaled back exactly. Exponential
+    cost; guarded to short lengths.
     """
     n = inst.n
     length = len(inst.parts)
@@ -87,8 +88,25 @@ def msp_value_naive(inst: EvalInstance) -> int:
             rest = left[:idx] + ((v, copies - 1),) + left[idx + 1:] if copies > 1 else left[:idx] + left[idx + 1:]
             walk(pos + 1, exp + v * pos, rest)
 
-    walk(0, 0, tuple([(v, inst.parts.count(v)) for v in sorted(set(inst.parts))]))
-    return CyclotomicInt(n, counts).to_integer()
+    left = tuple([(v, inst.parts.count(v)) for v in sorted(set(inst.parts))])
+    if length == 1 or sum(inst.parts) % n:
+        walk(0, 0, left)
+        return CyclotomicInt(n, counts).to_integer()
+    # A rotation by one place changes the exponent by length * w_0 - sum, which n divides. Rotating
+    # each copy of v to the front maps the words length-to-copies onto those that start with v, so
+    # each residue count is length / copies times theirs; the v with fewest copies has fewest words.
+    idx = min(range(len(left)), key=lambda i: left[i][1])
+    v, copies = left[idx]
+    walk(1, 0, left[:idx] + ((v, copies - 1),) + left[idx + 1:] if copies > 1 else left[:idx] + left[idx + 1:])
+    return CyclotomicInt(n, _unrotate(counts, length, copies)).to_integer()
+
+
+def _unrotate(first, length, copies) -> list:
+    """Residue counts of all words from those of the words that start with a value of `copies` copies."""
+    counts = [divmod(c * length, copies) for c in first]
+    if any(r for _, r in counts):
+        raise AssertionError(f"counts {first} times {length} positions do not divide by {copies} copies")
+    return [q for q, _ in counts]
 
 
 def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:

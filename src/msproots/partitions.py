@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb, gcd
+from operator import mul
 
 
 def binomial(a: int, b: int) -> int:
@@ -87,6 +88,31 @@ def enumerate_partitions(n: int, length: int, allow_zero: bool = False):
         raise ValueError("bound and length must be positive")
     lo = 0 if allow_zero else 1
     return combinations_with_replacement(range(lo, n + 1), length)
+
+
+def admissible_keys(n: int, degree: int):
+    """Exponent vectors of sum `degree` over labels 1..n whose labels sum to 0 mod n, one at a time.
+
+    Entry j - 1 is the exponent of label j, so these are the partitions of `degree` parts in
+    1..n with part sum divisible by n, in ascending order (descending order of the vectors).
+    A key joins a head over labels 1..(n + 1) // 2 to a tail over the rest; only the tails
+    are tabled, by (sum, label sum mod n).
+    """
+    if n < 1 or degree < 0:
+        raise ValueError("need n >= 1 and degree >= 0")
+    half = (n + 1) // 2
+    tails = {}
+    for combo in combinations_with_replacement(range(half + 1, n + 2), degree):  # label n + 1 pads the sum
+        pad = combo.count(n + 1)
+        tails.setdefault((degree - pad, (sum(combo) - (n + 1) * pad) % n), []).append(
+            tuple(map(combo.count, range(half + 1, n + 1))))
+    for combo in combinations_with_replacement(range(1, half + 2), degree):  # label half + 1 pads it
+        pad = combo.count(half + 1)  # the sum the tail needs
+        tail_keys = tails.get((pad, ((half + 1) * pad - sum(combo)) % n))
+        if tail_keys:
+            head = tuple(map(combo.count, range(1, half + 1)))
+            for tail in tail_keys:
+                yield head + tail
 
 
 def canonical_residues(parts, n: int) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import gcd, prod
-from operator import getitem
+from operator import getitem, mul
 
 from .cyclotomic import CyclotomicInt
 from .groupdet import (
@@ -26,6 +26,7 @@ from .groupdet import (
     leibniz_determinant,
     orbit_expand,
     prime_term_count,
+    relabeling,
 )
 from .msp import (
     DEFAULT_BUDGET,
@@ -40,6 +41,7 @@ from .msp import (
     reduce_two_distinct,
 )
 from .partitions import (
+    admissible_keys,
     binomial,
     enumerate_partitions,
     format_partition,
@@ -379,15 +381,14 @@ def _thm12_plan(n, k, budget):
                     failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(values[lam])))
             sections["vanishing_off_residue"] = len(off)
 
-            # scale_partition by the unit l, read from a table of the residues of l * p in 1..n
-            scalings = [(l, [0] + [(l * p - 1) % n + 1 for p in range(1, n + 1)])
-                        for l in range(2, n + 1) if gcd(l, n) == 1]
-            for lam in family:
-                base = values[lam]
-                for l, residue in scalings:
-                    got = values[tuple(sorted(map(residue.__getitem__, lam)))]
+            # scale_partition by the unit l relabels the exponent vector by x_j -> x_(l*j)
+            by_key = {tuple(map(lam.count, range(1, n + 1))): values[lam] for lam in family}
+            scalings = [(l, relabeling(n, l)) for l in range(2, n + 1) if gcd(l, n) == 1]
+            for key, base in by_key.items():
+                for l, image in scalings:
+                    got = by_key[image(key)]
                     if got != base:
-                        failures.append(Failure(f"thm12_8 lambda={format_partition(lam)} l={l}",
+                        failures.append(Failure(f"thm12_8 lambda={format_partition(key_partition(key))} l={l}",
                                                 str(base), str(got)))
             sections["unit_scaling"] = len(family) * len(scalings)
 
@@ -398,28 +399,28 @@ def _thm32_plan(n, k, budget):
     expansion = orbit_expand(n, k, budget)
     tilde = lambda_tilde_size(n, k)
     sweep = tilde <= COEFFICIENT_SWEEP_CAP
-    lams = []
-    if sweep:
-        lams = [lam for lam in enumerate_partitions(n, k * n) if sum(lam) % n == 0]
-        if len(lams) != tilde:
-            raise TheoremViolation(f"enumeration found {len(lams)} partitions, formula says {tilde}")
+    keys = list(admissible_keys(n, k * n)) if sweep else []
+    if sweep and len(keys) != tilde:
+        raise TheoremViolation(f"enumeration found {len(keys)} partitions, formula says {tilde}")
+    lams = [key_partition(key) for key in keys]
 
     def check(values, sections, failures):
         for key in expansion:
-            if sum((i + 1) * e for i, e in enumerate(key)) % n:
+            if sum(map(mul, key, range(1, n + 1))) % n:
                 failures.append(Failure(f"thm32_key lambda={format_partition(key_partition(key))}",
                                         "part sum divisible by n", "not divisible"))
         sections["residue_divisibility"] = len(expansion)
 
         if k == 1 and n <= LEIBNIZ_LIMIT:
             det = leibniz_determinant(n)
-            keys = sorted(set(expansion) | set(det))
-            for key in keys:
-                a, b = expansion.coefficient(key), det.coefficient(key)
-                if a != b:
-                    failures.append(Failure(f"thm32_leibniz lambda={format_partition(key_partition(key))}",
-                                            str(b), str(a)))
-            sections["determinant_routes"] = len(keys)
+            routes = det if expansion == det else sorted(set(expansion) | set(det))
+            if routes is not det:
+                for key in routes:
+                    a, b = expansion.coefficient(key), det.coefficient(key)
+                    if a != b:
+                        failures.append(Failure(f"thm32_leibniz lambda={format_partition(key_partition(key))}",
+                                                str(b), str(a)))
+            sections["determinant_routes"] = len(routes)
         elif not sweep:
             rng = random.Random(f"thm32:{n}:{k}")
             for point in range(EVALUATION_POINTS):
@@ -434,9 +435,9 @@ def _thm32_plan(n, k, budget):
 
         if sweep:
             run_naive = k * n <= NAIVE_LENGTH_LIMIT
-            for lam in lams:
+            for key, lam in zip(keys, lams):
                 dp = values[lam]
-                coeff = expansion.coefficient(exponent_key(lam, n))
+                coeff = expansion.coefficient(key)
                 if dp != coeff:
                     failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
                                             str(coeff), str(dp)))
@@ -511,12 +512,9 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     total = lambda_tilde_size(n, k)
     zeros = []
     seen = 0
-    for lam in enumerate_partitions(n, k * n):
-        if sum(lam) % n:
-            continue
-        seen += 1
-        if expansion.coefficient(exponent_key(lam, n)) == 0:
-            zeros.append(lam)
+    for seen, key in enumerate(admissible_keys(n, k * n), 1):
+        if key not in expansion:
+            zeros.append(key_partition(key))
     if seen != total:
         raise TheoremViolation(f"enumeration found {seen} partitions, formula says {total}")
     if k == 1 and is_prime(n) and zeros:

@@ -235,6 +235,41 @@ def test_relabel_fixes_expansions():
         dedekind_expand(4, 1).relabel(2)
 
 
+def _relabel_loop(m, l):
+    """MonomialMap.relabel as first written: one key at a time, through the validating constructor."""
+    n = m.n_vars
+    out = {}
+    for key, c in m.items():
+        new = [0] * n
+        for i, e in enumerate(key):
+            if e:
+                new[(l * (i + 1) - 1) % n] = e
+        out[tuple(new)] = c
+    return MonomialMap(n, m.degree, out)
+
+
+def test_relabel_matches_the_key_loop():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for degree in (1, n, 2 * n + 1):
+            keys = {tuple(lam.count(v) for v in range(1, n + 1)) for lam in
+                    (sorted(rng.randint(1, n) for _ in range(degree)) for _ in range(12))}
+            m = MonomialMap(n, degree, {key: rng.randint(-5, 5) for key in keys})
+            for l in range(-n, 2 * n + 2):
+                if gcd(l, n) == 1:
+                    assert m.relabel(l) == _relabel_loop(m, l), (n, degree, l)
+                else:
+                    with pytest.raises(ValueError):
+                        m.relabel(l)
+
+
+def test_membership_reads_the_stored_keys(monkeypatch):
+    m = MonomialMap(3, 3, {(1, 1, 1): 0, (3, 0, 0): 2, (0, 1, 2): -1})
+    monkeypatch.setattr(MonomialMap, "__iter__", None)  # `in` must not fall back to iteration
+    assert (3, 0, 0) in m and [0, 1, 2] in m
+    assert (1, 1, 1) not in m and (0, 0, 3) not in m
+
+
 def _schoolbook_product(a, b):
     out = {}
     for k1, c1 in a.items():

@@ -102,6 +102,61 @@ def test_naive_edge_cases_match_dp_and_the_literal_walk():
         assert value == msp_value_dp(inst) == _literal_naive(inst.parts, n), (parts, n, k)
 
 
+@pytest.fixture
+def naive_counts(monkeypatch):
+    """msp_value_naive as a function of (parts, n, k) that returns the residue counts it reads out."""
+    from msproots import msp
+
+    leaves = []
+    monkeypatch.setattr(msp, "CyclotomicInt", lambda order, counts: leaves.append(counts) or CyclotomicInt(order, counts))
+
+    def counts(parts, n, k):
+        msp_value_naive(EvalInstance(parts, n, k))
+        return leaves.pop()
+
+    return counts
+
+
+def _every_short_partition():
+    """Every partition with parts in 1..n at kn <= 7, divisible sum or not, then the edge cases."""
+    for n in range(1, 8):
+        for k in range(1, 7 // n + 1):
+            for lam in enumerate_partitions(n, k * n):
+                yield lam, n, k
+    yield from _naive_edge_cases()
+
+
+def test_naive_counts_match_the_literal_walk(monkeypatch, naive_counts):
+    """Rotated or not, the naive walk counts every rearrangement per residue exactly as the literal walk."""
+    from msproots import cyclotomic, msp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive oracle must not use the DP")
+
+    for module, name in [(cyclotomic, "shift_add_walk"), (msp, "shift_add_walk"), (msp, "msp_values_dp")]:
+        monkeypatch.setattr(module, name, refuse)
+    cases = list(_every_short_partition())
+    assert ((3,), 1, 1) in cases and ((-2,), 1, 1) in cases and ((0,) * 6, 3, 2) in cases
+    for parts, n, k in cases:
+        assert naive_counts(parts, n, k) == _literal_counts(tuple(sorted(parts)), n), (parts, n, k)
+
+
+def test_rotation_scaling_faults_are_caught(monkeypatch, naive_counts):
+    """Scaling by the length instead of length / copies is seen by the literal comparison; a remainder raises."""
+    from msproots import msp
+
+    with pytest.raises(AssertionError, match="do not divide"):
+        msp._unrotate([2, 1], 7, 2)
+    assert msp._unrotate([2, 0, 4], 6, 4) == [3, 0, 6]
+    cases = [(tuple(sorted(lam)), n, k) for lam, n, k in _every_short_partition()]
+    # where the value walked first has one copy, length / copies is the length itself
+    scaled = {(lam, n, k) for lam, n, k in cases
+              if sum(lam) % n == 0 and len(lam) > 1 and min(map(lam.count, lam)) > 1}
+    assert ((1, 1, 2, 2), 2, 2) in scaled and ((5,) * 7, 7, 1) in scaled
+    monkeypatch.setattr(msp, "_unrotate", lambda first, length, copies: [c * length for c in first])
+    assert {case for case in cases if naive_counts(*case) != _literal_counts(*case[:2])} == scaled
+
+
 @pytest.mark.parametrize("n,k", [(7, 1), (4, 2), (3, 3), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
 def test_naive_closes_count_each_rearrangement_once(monkeypatch, n, k):
     """The forced and three-position closes give the literal walk's leaf counts and the batched DP's values."""

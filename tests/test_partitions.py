@@ -3,6 +3,7 @@ import random
 import pytest
 
 from msproots.partitions import (
+    admissible_keys,
     binomial,
     canonical_residues,
     divisors,
@@ -43,6 +44,20 @@ def test_enumeration_rejects_bad_input():
         enumerate_partitions(0, 3)
     with pytest.raises(ValueError):
         enumerate_partitions(3, 0)
+
+
+def test_admissible_keys_match_the_filtered_enumeration():
+    """Same keys in the same order as the divisible-sum partitions, and as many as the formula says."""
+    for n in range(1, 9):
+        for k in (1, 2, 3):
+            want = [lam for lam in enumerate_partitions(n, k * n) if sum(lam) % n == 0]
+            keys = list(admissible_keys(n, k * n))
+            assert [tuple(j + 1 for j, e in enumerate(key) for _ in range(e)) for key in keys] == want, (n, k)
+            assert len(keys) == lambda_tilde_size(n, k), (n, k)
+    assert list(admissible_keys(3, 0)) == [(0, 0, 0)]
+    for n, degree in [(0, 3), (3, -1)]:
+        with pytest.raises(ValueError):
+            next(admissible_keys(n, degree))
 
 
 def test_canonical_residues_examples():

@@ -259,6 +259,16 @@ def test_check_theorems_walks_once_and_merges_the_three_reports(monkeypatch, n, 
     assert rep.failures and rep.instances_checked == sum(r.instances_checked for r in separate)
 
 
+@pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 11)] + [(6, 2), (4, 3)])
+def test_explore_conjecture_zeros_match_the_partition_enumeration(n, k):
+    from msproots.groupdet import exponent_key, orbit_expand
+
+    expansion = orbit_expand(n, k)
+    want = [lam for lam in enumerate_partitions(n, k * n)
+            if sum(lam) % n == 0 and expansion.coefficient(exponent_key(lam, n)) == 0]
+    assert explore_conjecture(n, k).zero_coefficients == want
+
+
 def test_explore_conjecture_raises_on_a_zero_at_a_prime(monkeypatch):
     edited(monkeypatch, "orbit_expand", 3, 1, lambda t: t.pop((1, 1, 1)))
     with pytest.raises(TheoremViolation, match="zero coefficient at prime n=3, k=1: lambda=1,2,3"):
