@@ -67,8 +67,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo the package keeps for the life of the process.
 
-    These are the DP values of single-instance calls (`msp._dp_value`;
-    `msp_values_dp` and the verify suites keep none), the finished expansions
+    These are the DP values of single-instance calls (`msp._dp_value`, keyed
+    with the budget so that a hit never skips the size guard; `msp_values_dp`
+    and the verify suites keep none), the finished expansions
     (`groupdet._expansions`), the cyclotomic polynomials and the readout
     tables built from them; all are unbounded, and a long session can
     call this to give their memory back.

@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=_positive, default=1, help="power / multiplicity (default 1)")
         p.add_argument("--format", choices=("json", "tsv", "plain"), default="json")
         p.add_argument("--budget", type=_positive, default=None,
-                       help="most DP states (eval, verify) or monomials (expand, count, "
-                            "conjecture, verify thm32) one computation may hold; it does not lift the "
-                            f"fixed sweep caps (default also via ${BUDGET_ENV})")
+                       help="most count vectors or map keys one computation may hold, checked "
+                            "before it allocates; it does not lift the fixed sweep caps "
+                            f"(also via ${BUDGET_ENV})")
 
     p = sub.add_parser("eval", help="evaluate one partition")
     common(p)

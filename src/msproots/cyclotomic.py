@@ -27,6 +27,22 @@ class BudgetExceeded(RuntimeError):
     """A computation would exceed its configured size guard."""
 
 
+DEFAULT_BUDGET = 10_000_000  # the most count vectors or map keys one computation may hold
+
+
+def check_budget(size: int, budget: int | None) -> None:
+    """Raise BudgetExceeded when holding `size` count vectors or map keys passes the budget.
+
+    This is the one size guard: every computation calls it before it
+    allocates. A budget of None is DEFAULT_BUDGET.
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    if size > budget:
+        raise BudgetExceeded(f"{size} count vectors or map keys exceed the budget of {budget}; "
+                             "pass a larger budget to override")
+
+
 def _divmod_monic(num, den):
     """Quotient and remainder of num by the monic den, exactly over the integers.
 
@@ -151,9 +167,11 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     levels. The frontier after the last row (every count vector in it sums
     to len(rows)) is returned as an iterator of (count vector, weight
     vector) pairs, unpacked one pair at a time as it is read; the walk is
-    done before the call returns. With several targets and a budget,
-    BudgetExceeded is raised before the first row once the down-set holds
-    more than `budget` count vectors, counted as it is built.
+    done before the call returns. Before the first row, every count
+    vector the walk will hold over all its rows is checked against the
+    budget (check_budget): for a cap test, the vectors of sum <= len(rows)
+    below the caps, counted in closed form; for the levels, the down-set,
+    counted as it is built.
 
     Inside the walk both vectors are packed into single ints (Kronecker
     substitution). A weight vector has n slots of `width` bits, so a
@@ -175,7 +193,14 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     b = max(caps, default=0).bit_length()
     field = (1 << b) - 1
     fields = [b * j for j in range(m)]
-    capped = len(targets) == 1 or _fills_box(targets, caps, length, budget)
+    ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
+    for c in caps:
+        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
+    # the targets fill the box when they are every vector of sum `length` below the caps
+    capped = len(targets) == 1 or (ways[length] <= len(targets) and all(sum(t) == length for t in targets)
+                                   and ways[length] == len(set(targets)))
+    if capped:
+        check_budget(sum(ways), budget)
     levels = None if capped else _down_levels(targets, fields, field, length, budget)
     binds = any(c < length for c in caps)
     frontier = {0: 1}
@@ -207,31 +232,7 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
             for state, vec in frontier.items())
 
 
-def _fills_box(targets, caps, length, budget=None) -> bool:
-    """Whether the targets are every count vector of sum `length` below caps.
-
-    If so, their down-set is every vector of sum <= length below caps, and
-    BudgetExceeded is raised when it holds more than `budget` vectors.
-    """
-    if any(sum(t) != length for t in targets):
-        return False
-    ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
-    for c in caps:
-        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
-    if ways[length] > len(targets) or ways[length] != len(set(targets)):
-        return False
-    _check_down_set(sum(ways), budget)
-    return True
-
-
-def _check_down_set(states, budget):
-    """Raise BudgetExceeded when a walk's down-set of `states` count vectors passes the budget."""
-    if budget is not None and states > budget:
-        raise BudgetExceeded(f"the walk's down-set passes the budget of {budget} DP states; "
-                             "pass a larger budget to override")
-
-
-def _down_levels(targets, fields, field, length, budget=None) -> list:
+def _down_levels(targets, fields, field, length, budget) -> list:
     """The packed count vectors entrywise <= some target, as one set per sum 0..length.
 
     Level s holds the targets of sum s and each vector of level s + 1 with
@@ -242,6 +243,6 @@ def _down_levels(targets, fields, field, length, budget=None) -> list:
     for s in range(max([length] + [t for t, _ in packed]), -1, -1):
         level = {v - (1 << p) for v in level for p in fields if v >> p & field} | {v for t, v in packed if t == s}
         states += len(level)
-        _check_down_set(states, budget)
+        check_budget(states, budget)
         levels.append(level)
     return levels[::-1][:length + 1]

@@ -16,8 +16,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicInt, shift_add_walk
-from .msp import DEFAULT_BUDGET, BudgetExceeded
+from .cyclotomic import BudgetExceeded, CyclotomicInt, check_budget, shift_add_walk
 from .partitions import admissible_keys, binomial, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
@@ -202,26 +201,6 @@ def leibniz_determinant(n: int) -> MonomialMap:
 _expansions: dict = {}
 
 
-def monomial_bound(n: int, k: int) -> int:
-    """binom(kn + n - 1, n - 1): the monomials of degree kn in n variables.
-
-    No expansion route ever holds more: neither the final map nor any
-    intermediate frontier, whose count vectors at row r number at most
-    binom(r + n - 1, n - 1).
-    """
-    return binomial(k * n + n - 1, n - 1)
-
-
-def _check_budget(n: int, k: int, budget: int | None) -> None:
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    bound = monomial_bound(n, k)
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    if bound > budget:
-        raise BudgetExceeded(f"expansion may reach {bound} monomials, over the budget of {budget}")
-
-
 def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     """Multiply out the k-fold product of the n character linear forms.
 
@@ -230,16 +209,20 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     stay in the cheap working representation (length-n vectors, shifted
     and added); each final coefficient is read out to an integer exactly
     once, which raises IntegralityViolation if anything non-integral
-    survives. Completed expansions are cached per (n, k). This literal
-    product is the reference that the tests compare orbit_expand against.
+    survives. The capped walk holds binom(kn + n, n) count vectors over
+    its rows, checked against the budget before the cache is read.
+    Completed expansions are cached per (n, k). This literal product is
+    the reference that the tests compare orbit_expand against.
     """
-    _check_budget(n, k, budget)
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    check_budget(binomial(k * n + n, n), budget)
     cached = _expansions.get((n, k))
     if cached is not None:
         return cached
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
     terms = {}
-    for key, vec in shift_add_walk(rows, [(k * n,) * n], n):
+    for key, vec in shift_add_walk(rows, [(k * n,) * n], n, budget):
         val = CyclotomicInt(n, vec).to_integer()
         if val:
             terms[key] = val
@@ -261,9 +244,12 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     representative, gives every representative's coefficient with one
     readout each. Each value written with its sign to the whole orbit
     gives the determinant; the k-th power is k - 1 sparse products.
-    Same guard as dedekind_expand; nothing is memoized.
+    No map it builds holds more keys than the lambda_tilde_size(n, k)
+    admissible ones, checked against the budget before the collect; the
+    walk checks its own down-set. Nothing is memoized.
     """
-    _check_budget(n, k, budget)
+    tilde = lambda_tilde_size(n, k)  # a ValueError unless n and k are positive
+    check_budget(tilde, budget)
     maps = [(relabeling(n, l, c), -1 if c * (n - 1) % 2 else 1)
             for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
     orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
@@ -274,12 +260,12 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
         reps.append(key)
         for image, sign in maps:
             orbit[image(key)] = key, sign
-    if len(orbit) != lambda_tilde_size(n, 1):
-        raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is "
-                             f"{lambda_tilde_size(n, 1)}; arithmetic is broken")
+    cover = tilde if k == 1 else lambda_tilde_size(n, 1)
+    if len(orbit) != cover:
+        raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is {cover}; arithmetic is broken")
     rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)]
     # the representatives all sum to n, so they are the whole final frontier
-    values = {key: CyclotomicInt(n, vec).to_integer() for key, vec in shift_add_walk(rows, reps, n)}
+    values = {key: CyclotomicInt(n, vec).to_integer() for key, vec in shift_add_walk(rows, reps, n, budget)}
     det = {key: sign * values[rep] for key, (rep, sign) in orbit.items() if values[rep]}
     return reduce(mul, [MonomialMap._trusted(n, n, det)] * k)
 

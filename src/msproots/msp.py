@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .cyclotomic import BudgetExceeded, CyclotomicInt, shift_add_walk
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
-DEFAULT_BUDGET = 10_000_000  # the most DP states or monomials one computation may hold
 NAIVE_LENGTH_LIMIT = 9
 
 
@@ -117,14 +116,14 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     zeta-power weight of every way of reaching it. Assigning part v to
     position j multiplies a path weight by zeta^(v*(j-1)). Each distinct
     rearrangement is counted exactly once because equal parts are only
-    interchangeable through their shared counter. The state count is
-    the product of (multiplicity + 1) over distinct parts and must fit
-    the budget (override via the `budget` argument). Values are memoized
-    per (parts, multiplicities, n).
+    interchangeable through their shared counter. The walk holds the
+    product of (multiplicity + 1) over distinct parts as states, and
+    raises BudgetExceeded before its first row when that passes the
+    budget (None: the default). Values are memoized per (parts,
+    multiplicities, n, budget), so a memo hit never skips the guard.
     """
     columns = tuple(sorted(set(inst.parts)))
-    mults = _multiplicities(inst.parts, columns, DEFAULT_BUDGET if budget is None else budget)
-    return _dp_value(columns, mults, inst.n)
+    return _dp_value(columns, tuple(map(inst.parts.count, columns)), inst.n, budget)
 
 
 def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict:
@@ -134,22 +133,20 @@ def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict
     mod n for each part v, so one walk whose columns are the union of their
     distinct parts reaches every one of them: each distinct multiplicity
     vector over those columns is a target of the walk and is read out once.
-    Each partition must fit the budget as in msp_value_dp. The walk's DP
-    states are the count vectors below some target (its down-set), and the
-    walk raises BudgetExceeded before its first row once they pass the
-    budget. Values are keyed by the tuples as given, repeats merged. The DP
-    memo is neither read nor filled.
+    The walk's DP states are the count vectors below some target (its
+    down-set, which holds every partition's own states), and it raises
+    BudgetExceeded before its first row once they pass the budget. Values
+    are keyed by the tuples as given, repeats merged. The DP memo is
+    neither read nor filled.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if budget is None:
-        budget = DEFAULT_BUDGET
     values = dict.fromkeys(partitions)
     columns = sorted(set().union(*values))
     for parts in values:  # each slot holds its multiplicity vector until the walk
         if len(parts) != k * n:
             raise ValueError(f"expected {k * n} parts for (n={n}, k={k}), got {len(parts)}")
-        values[parts] = _multiplicities(parts, columns, budget)
+        values[parts] = tuple(map(parts.count, columns))
     if not values:
         return values
     walked = _walk_values(columns, list(dict.fromkeys(values.values())), n, budget)
@@ -158,16 +155,7 @@ def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict
     return values
 
 
-def _multiplicities(parts, columns, budget) -> tuple:
-    """How often each column occurs among the parts, once the state count fits the budget."""
-    mults = tuple([parts.count(v) for v in columns])
-    states = prod(m + 1 for m in mults)
-    if states > budget:
-        raise BudgetExceeded(f"{states} DP states exceed the budget of {budget}; pass a larger budget to override")
-    return mults
-
-
-def _walk_values(columns, targets, n, budget=None) -> dict:
+def _walk_values(columns, targets, n, budget) -> dict:
     """One shift-add walk with a column per part, read out at each target multiplicity vector.
 
     The targets all sum to the number of rows, so they are the whole final
@@ -182,8 +170,8 @@ def _walk_values(columns, targets, n, budget=None) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _dp_value(values, mults, n):
-    return _walk_values(values, [mults], n)[mults]
+def _dp_value(values, mults, n, budget):
+    return _walk_values(values, [mults], n, budget)[mults]
 
 
 def closed_form_two_blocks(lambda1: int, a: int, n: int, k: int) -> int:

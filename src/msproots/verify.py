@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from math import gcd, prod
 from operator import getitem, mul
 
-from .cyclotomic import CyclotomicInt
+from .cyclotomic import CyclotomicInt, check_budget
 from .groupdet import (
     LEIBNIZ_LIMIT,
     MonomialMap,
@@ -29,7 +29,6 @@ from .groupdet import (
     relabeling,
 )
 from .msp import (
-    DEFAULT_BUDGET,
     NAIVE_LENGTH_LIMIT,
     BudgetExceeded,
     EvalInstance,
@@ -299,14 +298,11 @@ def _run(suite, names, n, k, budget) -> VerificationReport:
 def _thm11_plan(n, k, budget):
     kn = k * n
     prime = k == 1 and is_prime(n)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    # The prime family's multiplicity vectors are every vector of sum n over the n
-    # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
-    # DP states. Checked here so that the family is not enumerated first.
-    states = binomial(2 * n, n)
-    if prime and states > budget:
-        raise BudgetExceeded(f"the prime family's walk would hold {states} DP states, "
-                             f"over the budget of {budget}; pass a larger budget to override")
+    if prime:
+        # The prime family's multiplicity vectors are every vector of sum n over the n
+        # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
+        # DP states. Checked here so that the family is not enumerated first.
+        check_budget(binomial(2 * n, n), budget)
     family = list(enumerate_partitions(n, n)) if prime else []
     blocks = [(lam1, a, (lam1,) * a + (n,) * (kn - a)) for lam1 in range(1, n) for a in range(kn + 1)]
     pairs = []
@@ -502,8 +498,7 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
     coefficient is impossible. The coefficients come from orbit_expand,
-    whose monomial guard raises BudgetExceeded before any partition is
-    enumerated.
+    whose key guard raises BudgetExceeded before any key is enumerated.
     """
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")

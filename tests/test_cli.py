@@ -152,20 +152,18 @@ def test_explicit_default_budget_matches_omitted(monkeypatch):
     assert run_cli(argv) == omitted
 
 
-@pytest.mark.parametrize("n,k", [(6, 1), (4, 2), (3, 3)])
-def test_conjecture_and_expand_refuse_at_the_same_budget(n, k):
-    from msproots.groupdet import monomial_bound
-
-    bound = monomial_bound(n, k)
+@pytest.mark.parametrize("n,k,bound", [(6, 1, 155), (4, 2, 43), (3, 3, 19), (10, 1, 10_422)])
+def test_conjecture_and_expand_refuse_at_the_same_budget(n, k, bound):
+    # (6, 1) and (10, 1) stop at the walk's down-set, (4, 2) and (3, 3) at the lambda_tilde keys
     for budget, want in ((bound - 1, 3), (bound, 0)):
         outcomes = []
-        for command in ("conjecture", "expand"):
+        for command in ("conjecture", "expand", "count"):
             code, _, err = run_cli([command, "--n", str(n), "--k", str(k), "--budget", str(budget)])
             outcomes.append((code, err))
-        assert outcomes[0] == outcomes[1], (budget, outcomes)
+        assert outcomes[0] == outcomes[1] == outcomes[2], (budget, outcomes)
         code, err = outcomes[0]
         assert code == want, (budget, err)
-        assert (f"expansion may reach {bound} monomials" in err) == (want == 3)
+        assert (f"{bound} count vectors or map keys exceed the budget of {bound - 1}" in err) == (want == 3)
 
 
 def test_verify_single_suite():
@@ -222,9 +220,9 @@ def test_conjecture_command():
     assert payload["is_prime_power"] is False and payload["consistent_with_conjecture"] is True
     code, out, err = run_cli(["conjecture", "--n", "1"])
     assert code == 2 and out == "" and "n >= 2" in err
-    code, out, err = run_cli(["conjecture", "--n", "10", "--k", "2"])
+    code, out, err = run_cli(["conjecture", "--n", "16"])  # 18,784,170 keys, over the default budget
     assert code == 3 and out == "" and "budget" in err
-    code, out, err = run_cli(["conjecture", "--n", "24"])  # binom(47, 23) monomials, over the default budget
+    code, out, err = run_cli(["conjecture", "--n", "24"])
     assert code == 3 and out == "" and "budget" in err
 
 

@@ -245,7 +245,7 @@ def test_multi_target_budget_boundary_is_the_down_set_size():
     walked = []
     with pytest.raises(BudgetExceeded) as exc:
         shift_add_walk(Rows(rows, walked), targets, 5, states - 1)
-    assert str(exc.value) == (f"the walk's down-set passes the budget of {states - 1} DP states; "
+    assert str(exc.value) == (f"{states} count vectors or map keys exceed the budget of {states - 1}; "
                               "pass a larger budget to override")
     assert walked == []
     assert dict(shift_add_walk(Rows(rows, walked), targets, 5, states)) == want

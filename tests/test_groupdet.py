@@ -14,7 +14,6 @@ from msproots.groupdet import (
     exponent_key,
     key_partition,
     leibniz_determinant,
-    monomial_bound,
     orbit_expand,
     prime_term_count,
 )
@@ -106,9 +105,9 @@ def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
     walks, readouts = [], []
     walk, readout = groupdet.shift_add_walk, cyclotomic.CyclotomicInt.to_integer
 
-    def counted_walk(rows, targets, n):
+    def counted_walk(rows, targets, n, budget):
         walks.append(len(targets))
-        return walk(rows, targets, n)
+        return walk(rows, targets, n, budget)
 
     def counted_readout(value):
         readouts.append(value.order)
@@ -128,15 +127,24 @@ def _outcome(fn, n, k, budget):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("n,k,budget", [
-    (4, 3, 10), (4, 3, 454), (4, 3, 455), (5, 1, 125), (5, 1, 126), (1, 5, 1), (3, 2, None),
-    (0, 1, None), (2, 0, None), (9, 1, 24309), (9, 1, 24310)])
-def test_orbit_expand_guard_matches_walk(n, k, budget):
-    want = _outcome(dedekind_expand, n, k, budget)
-    assert _outcome(orbit_expand, n, k, budget) == want
-    if n >= 1 and k >= 1:
-        bound = monomial_bound(n, k)
-        assert isinstance(want, int) == (budget is None or budget >= bound), (bound, want)
+@pytest.mark.parametrize("n,k", [(3, 2), (1, 5), (0, 1), (2, 0)])
+def test_orbit_expand_outcome_matches_walk(n, k):
+    assert _outcome(orbit_expand, n, k, None) == _outcome(dedekind_expand, n, k, None)
+
+
+@pytest.mark.parametrize("fn,n,k,bound", [
+    (orbit_expand, 6, 1, 155),  # the walk's down-set: 155 count vectors, above the 80 keys
+    (orbit_expand, 4, 2, 43),  # lambda_tilde_size(4, 2) keys, above the down-set at (4, 1)
+    (orbit_expand, 3, 3, 19),
+    (orbit_expand, 10, 1, 10_422),
+    (dedekind_expand, 4, 3, 1_820),  # binom(kn + n, n) count vectors in the capped walk
+])
+def test_expansion_guard_boundary(fn, n, k, bound):
+    groupdet._expansions.pop((n, k), None)
+    assert _outcome(fn, n, k, bound - 1) == (
+        BudgetExceeded, f"{bound} count vectors or map keys exceed the budget of {bound - 1}; "
+                        "pass a larger budget to override")
+    assert _outcome(fn, n, k, bound) == len(orbit_expand(n, k))
 
 
 def test_orbit_expand_checks_the_orbit_cover(monkeypatch):

@@ -4,6 +4,8 @@ from math import comb, factorial, prod
 
 import pytest
 
+import msproots
+
 from msproots.msp import (
     BudgetExceeded,
     EvalInstance,
@@ -219,10 +221,24 @@ def test_batch_budget_guard_matches_single():
     inst = EvalInstance((1, 2, 3, 4), 4, 1)
     with pytest.raises(BudgetExceeded) as single:
         msp_value_dp(inst, budget=15)
-    with pytest.raises(BudgetExceeded) as batch:
-        msp_values_dp([(1, 1, 1, 1), inst.parts], 4, 1, budget=15)
-    assert str(single.value) == str(batch.value) == \
-        "16 DP states exceed the budget of 15; pass a larger budget to override"
+    assert msp_value_dp(inst, budget=16) == 0
+    batch = [(1, 1, 1, 1), inst.parts]  # 16 states below (1,1,1,1) and 5 below (4,0,0,0), sharing 2
+    with pytest.raises(BudgetExceeded) as joint:
+        msp_values_dp(batch, 4, 1, budget=18)
+    assert msp_values_dp(batch, 4, 1, budget=19) == {parts: msp_value_dp(EvalInstance(parts, 4, 1))
+                                                     for parts in batch}
+    assert str(single.value) == "16 count vectors or map keys exceed the budget of 15; pass a larger budget to override"
+    assert str(joint.value) == "19 count vectors or map keys exceed the budget of 18; pass a larger budget to override"
+
+
+def test_dp_memo_never_skips_the_budget():
+    inst = EvalInstance((1, 2, 3, 4), 4, 1)
+    msproots.clear_caches()
+    want = msp_value_dp(inst)
+    assert msproots.msp._dp_value.cache_info().currsize == 1  # memoized at the default budget
+    with pytest.raises(BudgetExceeded, match="16 count vectors or map keys exceed the budget of 15"):
+        msp_value_dp(inst, budget=15)
+    assert msp_value_dp(inst, budget=16) == want
 
 
 @pytest.mark.parametrize("batch,states", [
@@ -242,7 +258,7 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states)
 
     want = {parts: msp_value_dp(EvalInstance(parts, 4, 1)) for parts in batch}
     monkeypatch.setattr(msp, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
-    with pytest.raises(BudgetExceeded, match=f"down-set passes the budget of {states - 1} DP states"):
+    with pytest.raises(BudgetExceeded, match=f"{states} count vectors or map keys exceed the budget of {states - 1};"):
         msp_values_dp(batch, 4, 1, budget=states - 1)
     assert walked == []
     assert msp_values_dp(batch, 4, 1, budget=states) == want

@@ -397,19 +397,21 @@ def test_explore_conjecture_composite_case():
 
 
 def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
-    from msproots import verify
+    from msproots import groupdet, verify
 
     def boom(*args, **kwargs):
-        raise AssertionError("partitions enumerated before the budget check")
+        raise AssertionError("keys enumerated before the budget check")
 
-    monkeypatch.setattr(verify, "enumerate_partitions", boom)
+    monkeypatch.setattr(groupdet, "admissible_keys", boom)
+    monkeypatch.setattr(verify, "admissible_keys", boom)
+    with pytest.raises(BudgetExceeded, match="18784170 count vectors or map keys exceed the budget of 10000000"):
+        explore_conjecture(16, 1)  # lambda_tilde_size(16, 1) keys, over the default budget
     with pytest.raises(BudgetExceeded):
-        explore_conjecture(10, 2)  # binom(29, 9) monomials, over the default budget
-    for budget in (10, 100, 461):  # under the 462-monomial bound of (6, 1)
-        with pytest.raises(BudgetExceeded, match="expansion may reach 462 monomials"):
-            explore_conjecture(6, 1, budget=budget)
-    with pytest.raises(BudgetExceeded):
-        explore_conjecture(24, 1)  # binom(47, 23) monomials exceed the default budget
+        explore_conjecture(24, 1)
+    with pytest.raises(BudgetExceeded, match="80 count vectors or map keys exceed the budget of 79"):
+        explore_conjecture(6, 1, budget=79)  # the 80 keys of (6, 1)
+    with pytest.raises(AssertionError, match="keys enumerated"):
+        explore_conjecture(6, 1, budget=80)  # the key check passes, and the collect starts
 
 
 def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
@@ -419,13 +421,15 @@ def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
         raise AssertionError("partitions enumerated before the budget check")
 
     monkeypatch.setattr(verify, "enumerate_partitions", boom)
-    with pytest.raises(BudgetExceeded, match="10400600 DP states"):
+    with pytest.raises(BudgetExceeded, match="10400600 count vectors or map keys exceed the budget of 10000000"):
         check_thm11(13, 1)  # binom(26, 13) count vectors of sum <= 13
+    with pytest.raises(AssertionError, match="partitions enumerated"):
+        check_thm11(13, 1, budget=10_400_600)  # the check passes, and the family is enumerated
 
 
 def test_suites_walk_under_the_given_budget():
     # at n = 5 the prime family's down-set is every count vector of sum <= 5 over 5 columns
-    with pytest.raises(BudgetExceeded, match="252 DP states, over the budget of 251; pass a larger budget"):
+    with pytest.raises(BudgetExceeded, match="252 count vectors or map keys exceed the budget of 251; pass a larger"):
         check_thm11(5, 1, budget=251)
     assert check_thm11(5, 1, budget=252).passed
     for check, args in [(check_thm12, (4, 1)), (check_thm32, (3, 1)), (check_branching, (3, 1, 1)),
