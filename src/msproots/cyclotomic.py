@@ -232,6 +232,22 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
             for state, vec in frontier.items())
 
 
+def walk_values(columns, targets, n, budget=None) -> dict:
+    """One shift-add walk with a column per part, read out at each target multiplicity vector.
+
+    This is the walk at the root-of-unity point: placing part v at row pos
+    multiplies a path weight by zeta_n^(v*pos). The targets all sum to the
+    number of rows, so they are the whole final frontier. Each value is
+    stored under the caller's target tuple (a dict keeps the key it
+    already holds), not under the walk's equal copy.
+    """
+    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
+    values = dict.fromkeys(targets)
+    for t, vec in shift_add_walk(rows, targets, n, budget):
+        values[t] = CyclotomicInt(n, vec).to_integer()
+    return values
+
+
 def _down_levels(targets, fields, field, length, budget) -> list:
     """The packed count vectors entrywise <= some target, as one set per sum 0..length.
 

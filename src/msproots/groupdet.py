@@ -16,7 +16,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .cyclotomic import BudgetExceeded, CyclotomicInt, check_budget, shift_add_walk
+from .cyclotomic import BudgetExceeded, CyclotomicInt, check_budget, shift_add_walk, walk_values
 from .partitions import admissible_keys, binomial, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
@@ -239,11 +239,12 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     the keys and multiply the coefficients by (-1)^(c(n-1)): scaling by l
     conjugates the circulant by a permutation matrix, and shifting by c
     multiplies it by a cyclic shift. So the first key of each orbit in
-    lexicographic order represents it, and one shift-add walk over the
-    determinant's linear forms, kept to the count vectors below some
-    representative, gives every representative's coefficient with one
-    readout each. Each value written with its sign to the whole orbit
-    gives the determinant; the k-th power is k - 1 sparse products.
+    lexicographic order represents it, and one walk_values call over the
+    labels (its rows are the determinant's linear forms, form n as row 0),
+    kept to the count vectors below some representative, gives every
+    representative's coefficient with one readout each. Each value
+    written with its sign to the whole orbit gives the determinant; the
+    k-th power is k - 1 sparse products.
     No map it builds holds more keys than the lambda_tilde_size(n, k)
     admissible ones, checked against the budget before the collect; the
     walk checks its own down-set. Nothing is memoized.
@@ -263,9 +264,7 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     cover = tilde if k == 1 else lambda_tilde_size(n, 1)
     if len(orbit) != cover:
         raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is {cover}; arithmetic is broken")
-    rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)]
-    # the representatives all sum to n, so they are the whole final frontier
-    values = {key: CyclotomicInt(n, vec).to_integer() for key, vec in shift_add_walk(rows, reps, n, budget)}
+    values = walk_values(range(1, n + 1), reps, n, budget)
     det = {key: sign * values[rep] for key, (rep, sign) in orbit.items() if values[rep]}
     return reduce(mul, [MonomialMap._trusted(n, n, det)] * k)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import BudgetExceeded, CyclotomicInt, shift_add_walk
+from .cyclotomic import BudgetExceeded, CyclotomicInt, walk_values
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
 
 NAIVE_LENGTH_LIMIT = 9
@@ -149,29 +149,15 @@ def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict
         values[parts] = tuple(map(parts.count, columns))
     if not values:
         return values
-    walked = _walk_values(columns, list(dict.fromkeys(values.values())), n, budget)
+    walked = walk_values(columns, list(dict.fromkeys(values.values())), n, budget)
     for parts, vec in values.items():
         values[parts] = walked[vec]
     return values
 
 
-def _walk_values(columns, targets, n, budget) -> dict:
-    """One shift-add walk with a column per part, read out at each target multiplicity vector.
-
-    The targets all sum to the number of rows, so they are the whole final
-    frontier. Each value is stored under the caller's target tuple (a dict
-    keeps the key it already holds), not under the walk's equal copy.
-    """
-    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
-    values = dict.fromkeys(targets)
-    for t, vec in shift_add_walk(rows, targets, n, budget):
-        values[t] = CyclotomicInt(n, vec).to_integer()
-    return values
-
-
 @lru_cache(maxsize=None)
 def _dp_value(values, mults, n, budget):
-    return _walk_values(values, [mults], n, budget)[mults]
+    return walk_values(values, [mults], n, budget)[mults]
 
 
 def closed_form_two_blocks(lambda1: int, a: int, n: int, k: int) -> int:

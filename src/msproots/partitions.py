@@ -18,19 +18,28 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
 
+def _prime_factors(n: int) -> dict:
+    """{p: e} with n the product of the p^e, by trial division; {} for n <= 1."""
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1  # what is left has no factor up to its square root
+    return factors
+
+
 def divisors(n: int) -> list:
     """Positive divisors of n in increasing order."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    found = [1]
+    for p, e in _prime_factors(n).items():
+        found = [d * p ** i for d in found for i in range(e + 1)]
+    return sorted(found)
 
 
 def euler_phi(n: int) -> int:
@@ -38,44 +47,19 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("n must be a positive integer")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
 def is_prime(n: int) -> bool:
     """Primality by trial division; intended for desk-scale inputs."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == {n: 1}
 
 
 def is_prime_power(n: int) -> bool:
     """True when n = p^m for a prime p and m >= 1."""
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 1
-    return True  # n itself is prime
+    return len(_prime_factors(n)) == 1
 
 
 def enumerate_partitions(n: int, length: int, allow_zero: bool = False):

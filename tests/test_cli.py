@@ -48,6 +48,26 @@ def test_eval_keeps_parts_whose_residues_merge():
     assert code == 2 and "closed" in err
 
 
+def test_negative_first_part_in_the_equals_form():
+    """`--lambda -1,1,3` reads as an option; the `=` form passes the negative part through."""
+    code, out, err = run_cli(["eval", "--n", "3", "--lambda=-1,1,3"])
+    assert code == 0 and json.loads(out)["value"] == -3
+    assert "canonicalized to residues 1..3: 1,2,3" in err
+    code, out, _ = run_cli(["verify", "--suite", "lemma24", "--n", "3", "--lambda=-1,1,3"])
+    report = json.loads(out)
+    assert code == 0 and (report["instances_checked"], report["failures"]) == (4, [])
+    assert run_cli(["eval", "--n", "3", "--lambda", "-1,1,3"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["eval", "--n", "3", "--lambda", "1,2,3", "--method", method]
+                                  for method in ("dp", "naive", "closed", "auto")]
+                         + [["verify", "--suite", "lemma24", "--n", "3"]])
+def test_bad_budget_env_is_a_usage_error_on_every_path(monkeypatch, argv):
+    monkeypatch.setenv("MSPROOTS_BUDGET", "notanint")
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and "MSPROOTS_BUDGET" in err
+
+
 @pytest.mark.parametrize("argv, env, flag", [
     (["eval", "--n", "0", "--lambda", "1"], None, "--n"),
     (["eval", "--n", "-3", "--lambda", "1,2,3"], None, "--n"),

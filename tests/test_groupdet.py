@@ -103,7 +103,7 @@ def test_orbit_expand_needs_no_dp(monkeypatch, n, k):
 
 def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
     walks, readouts = [], []
-    walk, readout = groupdet.shift_add_walk, cyclotomic.CyclotomicInt.to_integer
+    walk, readout = cyclotomic.shift_add_walk, cyclotomic.CyclotomicInt.to_integer
 
     def counted_walk(rows, targets, n, budget):
         walks.append(len(targets))
@@ -113,7 +113,7 @@ def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
         readouts.append(value.order)
         return readout(value)
 
-    monkeypatch.setattr(groupdet, "shift_add_walk", counted_walk)
+    monkeypatch.setattr(cyclotomic, "shift_add_walk", counted_walk)
     monkeypatch.setattr(cyclotomic.CyclotomicInt, "to_integer", counted_readout)
     assert len(orbit_expand(10, 1)) == 7492
     assert walks == [268]  # one walk, with one target per orbit

@@ -135,7 +135,7 @@ def test_naive_counts_match_the_literal_walk(monkeypatch, naive_counts):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive oracle must not use the DP")
 
-    for module, name in [(cyclotomic, "shift_add_walk"), (msp, "shift_add_walk"), (msp, "msp_values_dp")]:
+    for module, name in [(cyclotomic, "shift_add_walk"), (msp, "msp_values_dp")]:
         monkeypatch.setattr(module, name, refuse)
     cases = list(_every_short_partition())
     assert ((3,), 1, 1) in cases and ((-2,), 1, 1) in cases and ((0,) * 6, 3, 2) in cases
@@ -246,10 +246,10 @@ def test_dp_memo_never_skips_the_budget():
     ([(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)], 15),  # every vector of sum <= 4
 ])
 def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states):
-    from msproots import msp
+    from msproots import cyclotomic
 
     walked = []
-    walk = msp.shift_add_walk
+    walk = cyclotomic.shift_add_walk
 
     class Rows(list):
         def __iter__(self):
@@ -257,7 +257,7 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states)
             return super().__iter__()
 
     want = {parts: msp_value_dp(EvalInstance(parts, 4, 1)) for parts in batch}
-    monkeypatch.setattr(msp, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
+    monkeypatch.setattr(cyclotomic, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
     with pytest.raises(BudgetExceeded, match=f"{states} count vectors or map keys exceed the budget of {states - 1};"):
         msp_values_dp(batch, 4, 1, budget=states - 1)
     assert walked == []

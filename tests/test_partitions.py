@@ -110,6 +110,21 @@ def test_number_theory_helpers():
     assert [m for m in range(1, 20) if is_prime_power(m)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
 
 
+def test_number_theory_helpers_match_sympy():
+    """The helpers share one trial division; sympy factors independently, small and nonpositive n included."""
+    sympy = pytest.importorskip("sympy")
+    for n in range(-3, 1200):
+        assert is_prime(n) == sympy.isprime(n), n
+        assert is_prime_power(n) == (n > 1 and len(sympy.factorint(n)) == 1), n
+        if n >= 1:
+            assert euler_phi(n) == sympy.totient(n), n
+            assert divisors(n) == sympy.divisors(n), n
+    for n in (0, -4):
+        for helper in (euler_phi, divisors):
+            with pytest.raises(ValueError):
+                helper(n)
+
+
 def test_partition_text_round_trip():
     assert parse_partition("3, 1,2") == (1, 2, 3)
     assert parse_partition("-1,0,7") == (-1, 0, 7)
