@@ -70,11 +70,9 @@ def clear_caches() -> None:
     These are the DP values of single-instance calls (`msp._dp_value`, keyed
     with the budget so that a hit never skips the size guard; `msp_values_dp`
     and the verify suites keep none), the finished expansions
-    (`groupdet._expansions`), the cyclotomic polynomials and the readout
-    tables built from them; all are unbounded, and a long session can
-    call this to give their memory back.
+    (`groupdet._expansions`) and the cyclotomic polynomials; all are
+    unbounded, and a long session can call this to give their memory back.
     """
     msp._dp_value.cache_clear()
     groupdet._expansions.clear()
     cyclotomic.cyclotomic_poly.cache_clear()
-    cyclotomic._reduction_rows.cache_clear()

@@ -1,12 +1,14 @@
 """Exact readout of cyclotomic integers, and the walk that builds them.
 
 Values are elements of Z[zeta_n] for a fixed order n, built by
-`shift_add_walk` as length-n integer coefficient vectors in the working
+`packed_walk` as length-n integer coefficient vectors in the working
 quotient Z[x]/(x^n - 1), where a product with a root power is a rotation
 and a sum is a vector add. Reduction modulo the n-th cyclotomic
-polynomial happens only at readout; since {1, zeta, ..., zeta^(phi(n)-1)}
-is a basis of Z[zeta_n], the reduced form is canonical, so the integer
-read out of it is exact.
+polynomial happens only at readout, in one of two ways. `CyclotomicInt`
+reduces a vector to the basis {1, zeta, ..., zeta^(phi(n)-1)} of
+Z[zeta_n], where the form is canonical. `read_packed` reads a walk's
+packed weight through the cofactor (x^n - 1) / Phi_n without unpacking
+it. Both read out exact integers and raise on anything else.
 
 All integers are arbitrary precision throughout; there is no rounding
 path anywhere in this module.
@@ -14,7 +16,9 @@ path anywhere in this module.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
+from operator import countOf
 
 from .partitions import divisors
 
@@ -80,24 +84,6 @@ def cyclotomic_poly(n: int) -> tuple:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple:
-    """x^e mod the n-th cyclotomic polynomial for e = phi(n)..n-1.
-
-    Each row lists the nonzero (index, coefficient) pairs of one
-    remainder on the power basis, so reducing a working vector is its
-    first phi(n) coefficients plus a sparse combination of these rows.
-    Memoized per process.
-    """
-    poly = cyclotomic_poly(n)
-    phi = len(poly) - 1
-    rows = []
-    for e in range(phi, n):
-        rem = _divmod_monic((0,) * e + (1,), poly)[1]
-        rows.append(tuple((i, c) for i, c in enumerate(rem) if c))
-    return tuple(rows)
-
-
 class CyclotomicInt:
     """An element of Z[zeta_n], held for one readout.
 
@@ -120,19 +106,9 @@ class CyclotomicInt:
         """Coefficients on the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
         The remainder of the working polynomial modulo the order-n
-        cyclotomic polynomial, always of length phi(n): the first phi(n)
-        coefficients plus each higher coefficient times its row of
-        `_reduction_rows`.
+        cyclotomic polynomial, always of length phi(n).
         """
-        coeffs = self.coeffs
-        table = _reduction_rows(self.order)
-        phi = self.order - len(table)
-        out = list(coeffs[:phi])
-        for c, row in zip(coeffs[phi:], table):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return tuple(out)
+        return _divmod_monic(self.coeffs, cyclotomic_poly(self.order))[1]
 
     def to_integer(self) -> int:
         """Read the value out as a plain integer.
@@ -151,43 +127,42 @@ class CyclotomicInt:
 
 
 def shift_add_walk(rows, targets, n: int, budget: int | None = None):
+    """The walk of `packed_walk` at the narrowest safe width, each weight unpacked into its n slots."""
+    width = _slot_bound(len(rows), targets).bit_length()
+    return ((state, [(vec >> width * e) & ((1 << width) - 1) for e in range(n)])
+            for state, vec in packed_walk(rows, targets, n, budget, width))
+
+
+def packed_walk(rows, targets, n: int, budget: int | None, width: int):
     """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
 
-    The frontier maps each count vector to a length-n weight vector and
-    starts as {zero vector: 1}. Step r raises one entry j of a count
-    vector by one and adds its weight rotated by rows[r][j] into the
-    child's weight. Only count vectors that are entrywise <= at least one
-    of the (non-empty list of) targets are kept. For one target that is a
-    cap test per entry. For several the vectors below some target (the
-    down-set) are built once per call, one level per sum, and row r pulls:
-    each vector of level r + 1 sums the rotated weights of its parents in
-    level r, one per nonzero entry. If the targets are every vector of sum
-    len(rows) below their entrywise maximum, the down-set is every vector
-    of sum <= len(rows) below it, and a cap test keeps those without the
-    levels. The frontier after the last row (every count vector in it sums
-    to len(rows)) is returned as an iterator of (count vector, weight
-    vector) pairs, unpacked one pair at a time as it is read; the walk is
-    done before the call returns. Before the first row, every count
-    vector the walk will hold over all its rows is checked against the
-    budget (check_budget): for a cap test, the vectors of sum <= len(rows)
-    below the caps, counted in closed form; for the levels, the down-set,
-    counted as it is built.
+    The frontier maps each count vector to a weight vector and starts as
+    {zero vector: 1}. Step r raises one entry j of a count vector by one
+    and adds its weight rotated by rows[r][j] into the child's weight.
+    Only count vectors entrywise <= at least one of the (non-empty list
+    of) targets are kept. For one target that is a cap test per entry.
+    For several the vectors below some target (the down-set) are built
+    once per call, one level per sum, and row r pulls: each vector of
+    level r + 1 sums the rotated weights of its parents in level r, one
+    per nonzero entry. If the targets are every vector of sum len(rows)
+    below their entrywise maximum, a cap test keeps that down-set without
+    the levels. The frontier after the last row is returned as an
+    iterator of (count vector, packed weight) pairs, each count vector
+    unpacked as it is read; the walk is done before the call returns.
+    Before the first row, every count vector the walk will hold is checked
+    against the budget (check_budget): for a cap test, the vectors of sum
+    <= len(rows) below the caps, counted in closed form; for the levels,
+    the down-set, counted as it is built.
 
-    Inside the walk both vectors are packed into single ints (Kronecker
-    substitution). A weight vector has n slots of `width` bits, so a
-    rotation is two shifts and a mask and an add is one int add. A slot
-    counts the paths into its count vector, at most the multinomial
-    coefficient of that vector, which never exceeds min(L!, m^L) for L
-    rows when every kept vector has at most m nonzero entries. A kept
-    vector lies below a target, so m is the most nonzero entries of any
-    target; `width` holds that bound, so no slot carries into the next.
-    A count vector has one field of `b` bits per entry, which holds the
-    largest target entry: the cap test (skipped when no cap can bind)
-    keeps every entry within it, and a pull only lowers nonzero entries.
+    Both vectors are packed into single ints (Kronecker substitution). A
+    weight has n slots of `width` bits, so a rotation is two shifts and a
+    mask and an add is one int add; no slot carries when `width` holds
+    `_slot_bound`. A count vector has one field of `b` bits per entry,
+    which holds the largest target entry: the cap test (skipped when no
+    cap can bind) keeps every entry within it, and a pull only lowers
+    nonzero entries.
     """
     length, m = len(rows), len(targets[0])
-    spread = max(len(t) - t.count(0) for t in targets)
-    width = min(factorial(length), spread ** length).bit_length()
     mask = (1 << n * width) - 1
     caps = tuple([max(column) for column in zip(*targets)])
     b = max(caps, default=0).bit_length()
@@ -197,7 +172,7 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
     for c in caps:
         ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
     # the targets fill the box when they are every vector of sum `length` below the caps
-    capped = len(targets) == 1 or (ways[length] <= len(targets) and all(sum(t) == length for t in targets)
+    capped = len(targets) == 1 or (ways[length] <= len(targets) and set(map(sum, targets)) == {length}
                                    and ways[length] == len(set(targets)))
     if capped:
         check_budget(sum(ways), budget)
@@ -226,25 +201,69 @@ def shift_add_walk(rows, targets, n: int, budget: int | None = None):
                         acc += ((vec << left) & mask) | (vec >> right)
                 nxt[state] = acc
         frontier = nxt
-    slot = (1 << width) - 1
-    slots = [width * e for e in range(n)]
-    return ((tuple([(state >> pos) & field for pos in fields]), [(vec >> pos) & slot for pos in slots])
-            for state, vec in frontier.items())
+    return ((tuple([(state >> pos) & field for pos in fields]), vec) for state, vec in frontier.items())
+
+
+def _slot_bound(length: int, targets) -> int:
+    """The most paths into one slot of a walk of L = `length` rows below `targets`: min(L!, m^L)
+    bounds each multinomial coefficient when every target, so every kept vector, has <= m nonzero entries.
+    """
+    return min(factorial(length), (len(targets[0]) - min(map(countOf, targets, repeat(0)))) ** length)
+
+
+def packed_cofactor(n: int, bound: int):
+    """The slot width that `read_packed` needs for weights C with slots in 0..bound, and its constants.
+
+    The cofactor Psi = (x^n - 1) / Phi_n is split as P - N with P, N >= 0. A slot of C*P or C*N
+    folded mod x^n - 1 sums slots of C times distinct coefficients of P or N, so it lies in
+    0..bound*|Psi|_1 and nothing carries; so |v| <= bound*|Psi|_1, and every slot of C*P - C*N and
+    of v*Psi lies within bound*|Psi|_1*|Psi|_inf of 0. The width is that bound's bit length plus
+    one, below which balanced digits are unique: 1 bit more than `_slot_bound` needs at n = 1, and
+    2 to 6 at n = 2..105.
+    """
+    psi = _divmod_monic((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))[0]
+    width = (bound * sum(map(abs, psi)) * max(map(abs, psi))).bit_length() + 1
+    pos = sum([c << width * i for i, c in enumerate(psi) if c > 0])
+    neg = sum([-c << width * i for i, c in enumerate(psi) if c < 0])
+    return width, (n, width, n * width, (1 << n * width) - 1, (1 << width) - 1, psi[0], pos, neg, pos - neg)
+
+
+def read_packed(vec: int, cofactor) -> int:
+    """The rational integer that the packed weight C = `vec` is in Z[zeta_n], exactly.
+
+    Phi_n * Psi = x^n - 1 and Z[x] has no zero divisors, so C = v mod Phi_n
+    exactly when C*Psi = v*Psi mod x^n - 1. Psi has degree below n and
+    Psi(0) = -Phi_n(0) = +-1, so v is Psi(0) times slot 0 of C*Psi folded
+    mod x^n - 1, and the congruence is one comparison of packed ints.
+    Raises IntegralityViolation when C is not a rational integer.
+    """
+    n, width, shift, low, slot, sign, pos, neg, psi = cofactor
+    dp, dn = vec * pos, vec * neg
+    dp, dn = (dp & low) + (dp >> shift), (dn & low) + (dn >> shift)  # folded mod x^n - 1
+    v = sign * ((dp & slot) - (dn & slot))
+    if dp - dn != v * psi:
+        raise IntegralityViolation(f"value of order {n} is not a rational integer: working form "
+                                   f"{[(vec >> width * e) & slot for e in range(n)]}")
+    return v
 
 
 def walk_values(columns, targets, n, budget=None) -> dict:
-    """One shift-add walk with a column per part, read out at each target multiplicity vector.
+    """One packed walk with a column per part, read out by `read_packed` at each target multiplicity vector.
 
     This is the walk at the root-of-unity point: placing part v at row pos
     multiplies a path weight by zeta_n^(v*pos). The targets all sum to the
     number of rows, so they are the whole final frontier. Each value is
     stored under the caller's target tuple (a dict keeps the key it
-    already holds), not under the walk's equal copy.
+    already holds), not under the walk's equal copy. No targets, no walk.
     """
-    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
     values = dict.fromkeys(targets)
-    for t, vec in shift_add_walk(rows, targets, n, budget):
-        values[t] = CyclotomicInt(n, vec).to_integer()
+    if not values:
+        return values
+    targets = list(values)
+    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
+    width, cofactor = packed_cofactor(n, _slot_bound(len(rows), targets))
+    for t, vec in packed_walk(rows, targets, n, budget, width):
+        values[t] = read_packed(vec, cofactor)
     return values
 
 

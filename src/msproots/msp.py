@@ -147,9 +147,7 @@ def msp_values_dp(partitions, n: int, k: int, budget: int | None = None) -> dict
         if len(parts) != k * n:
             raise ValueError(f"expected {k * n} parts for (n={n}, k={k}), got {len(parts)}")
         values[parts] = tuple(map(parts.count, columns))
-    if not values:
-        return values
-    walked = walk_values(columns, list(dict.fromkeys(values.values())), n, budget)
+    walked = walk_values(columns, list(values.values()), n, budget)
     for parts, vec in values.items():
         values[parts] = walked[vec]
     return values

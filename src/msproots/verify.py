@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from math import gcd, prod
 from operator import getitem, mul
 
-from .cyclotomic import CyclotomicInt, check_budget
+from .cyclotomic import CyclotomicInt, check_budget, walk_values
 from .groupdet import (
     LEIBNIZ_LIMIT,
     MonomialMap,
@@ -223,6 +223,7 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
     """Value at k+l versus the sum of split products over contained partitions.
 
     The sums for all mu are the coefficients of one product of the half-family maps {key: value}.
+    Each family is one walk_values batch keyed by exponent vector.
     """
     if n < 1 or k < 1 or l < 1:
         raise ValueError("n, k and l must be positive")
@@ -230,18 +231,16 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
     if family_size > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {EXHAUSTIVE_CAP}")
     t0 = time.perf_counter()
-    mus = list(enumerate_partitions(n, (k + l) * n))
+    labels, mus = range(1, n + 1), _family(n, (k + l) * n)
     # the split halves of all mu at powers k and l are the whole families at those powers
-    halves = {p: MonomialMap(n, p * n, {exponent_key(lam, n): value for lam, value in
-                                        msp_values_dp(enumerate_partitions(n, p * n), n, p, budget).items()})
-              for p in {k, l}}
+    halves = {p: MonomialMap(n, p * n, walk_values(labels, _family(n, p * n), n, budget)) for p in {k, l}}
     split = halves[k] * halves[l]
-    values = msp_values_dp(mus, n, k + l, budget)
+    values = walk_values(labels, mus, n, budget)
     failures = []
     for mu in mus:
-        direct, total = values[mu], split.coefficient(exponent_key(mu, n))
+        direct, total = values[mu], split.coefficient(mu)
         if direct != total:
-            failures.append(Failure(f"mu={format_partition(mu)}", str(direct), str(total)))
+            failures.append(Failure(f"mu={format_partition(key_partition(mu))}", str(direct), str(total)))
     elapsed = (time.perf_counter() - t0) * 1000
     return VerificationReport("branching", n, k, len(mus), failures, elapsed, l=l)
 
@@ -275,15 +274,16 @@ def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationRep
 
 
 def _run(suite, names, n, k, budget) -> VerificationReport:
-    """One report from one msp_values_dp batch over the partitions that every named plan reads.
+    """One report from one walk_values batch over the partitions that every named plan reads.
 
-    A plan takes (n, k, budget) and returns those partitions and a check,
+    A plan takes (n, k, budget) and returns those partitions as exponent
+    vectors over the labels 1..n (every part lies in 1..n) and a check,
     which takes their values, a sections dict and a failure list and fills
     both. With several plans each section is prefixed by its plan's name.
     """
     t0 = time.perf_counter()
     plans = [(name, *_PLANS[name](n, k, budget)) for name in names]
-    values = msp_values_dp([lam for _, lams, _ in plans for lam in lams], n, k, budget)
+    values = walk_values(range(1, n + 1), [key for _, keys, _ in plans for key in keys], n, budget)
     sections = {}
     failures = []
     for name, _, check in plans:
@@ -295,6 +295,19 @@ def _run(suite, names, n, k, budget) -> VerificationReport:
     return VerificationReport(suite, n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
+def _family(n, length) -> list:
+    """The exponent vectors of every partition of `length` parts in 1..n, in enumerate_partitions order.
+
+    That is descending order, built from the last entry forward: tails[s] holds those of sum s."""
+    def lead(s):  # the vectors of sum s with one more entry in front
+        return [(a,) + tail for a in range(s, -1, -1) for tail in tails[s - a]]
+
+    tails = [[(s,)] for s in range(length + 1)]
+    for _ in range(n - 2):
+        tails = [lead(s) for s in range(length + 1)]
+    return lead(length) if n > 1 else tails[length]
+
+
 def _thm11_plan(n, k, budget):
     kn = k * n
     prime = k == 1 and is_prime(n)
@@ -303,8 +316,12 @@ def _thm11_plan(n, k, budget):
         # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
         # DP states. Checked here so that the family is not enumerated first.
         check_budget(binomial(2 * n, n), budget)
-    family = list(enumerate_partitions(n, n)) if prime else []
-    blocks = [(lam1, a, (lam1,) * a + (n,) * (kn - a)) for lam1 in range(1, n) for a in range(kn + 1)]
+    family = _family(n, n) if prime else []
+
+    def two_blocks(u, w, a):  # the key of a copies of u and kn - a copies of w != u
+        return tuple([a if j == u else kn - a if j == w else 0 for j in range(1, n + 1)])
+
+    blocks = [(lam1, a, two_blocks(lam1, n, a)) for lam1 in range(1, n) for a in range(kn + 1)]
     pairs = []
     for lam1 in range(1, n + 1):
         for lam2 in range(1, n + 1):
@@ -312,30 +329,29 @@ def _thm11_plan(n, k, budget):
                 continue
             for a in range(kn + 1):
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
-                lam = tuple(sorted((lam1,) * a + (lam2,) * (kn - a)))
-                pairs.append((lam1, lam2, a, lam, sign, reduced.parts))
+                pairs.append((lam1, lam2, a, two_blocks(lam1, lam2, a), sign, exponent_key(reduced.parts, n)))
 
     def check(values, sections, failures):
         if prime:
-            for lam in family:
-                nonzero = values[lam] != 0
-                want = prime_nonvanishing(lam, n)
+            for key in family:
+                nonzero = values[key] != 0
+                want = prime_nonvanishing(key_partition(key), n)
                 if nonzero != want:
-                    failures.append(Failure(f"thm11_1 lambda={format_partition(lam)}",
+                    failures.append(Failure(f"thm11_1 lambda={format_partition(key_partition(key))}",
                                             f"nonzero={want}", f"nonzero={nonzero}"))
             sections["prime_equivalence"] = len(family)
 
-        for lam1, a, lam in blocks:
-            got = values[lam]
+        for lam1, a, key in blocks:
+            got = values[key]
             want = closed_form_two_blocks(lam1, a, n, k)
             if got != want:
                 failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", str(want), str(got)))
-            elif sum(lam) % n == 0 and want == 0:
+            elif lam1 * a % n == 0 and want == 0:  # the part sum is lam1 * a mod n
                 failures.append(Failure(f"thm11_2 lambda1={lam1} a={a}", "nonzero", "0"))
         sections["two_block_closed_form"] = len(blocks)
 
-        for lam1, lam2, a, lam, sign, reduced in pairs:
-            got = values[lam]
+        for lam1, lam2, a, key, sign, reduced in pairs:
+            got = values[key]
             want = sign * values[reduced]
             if got != want:
                 failures.append(Failure(f"thm11_3 lambda1={lam1} lambda2={lam2} a={a}",
@@ -358,37 +374,37 @@ def _thm12_plan(n, k, budget):
         lam = low + (n,) * (kn - len(low))
         want = mansfield_coefficient(EvalInstance(lam, n, k))
         if want is not None:
-            patterns.append((lam, want))
+            patterns.append((exponent_key(lam, n), want))
     exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
-    family = list(enumerate_partitions(n, kn)) if exhaustive else []  # unit scaling keeps to the family
+    family = _family(n, kn) if exhaustive else []  # unit scaling keeps to the family
 
     def check(values, sections, failures):
-        for lam, want in patterns:
-            got = values[lam]
+        for key, want in patterns:
+            got = values[key]
             if got != want or want == 0:
-                failures.append(Failure(f"thm12_pattern lambda={format_partition(lam)}",
+                failures.append(Failure(f"thm12_pattern lambda={format_partition(key_partition(key))}",
                                         f"{want} (nonzero)", str(got)))
         sections["near_identity_patterns"] = len(patterns)
 
         if exhaustive:
-            off = [lam for lam in family if sum(lam) % n]
-            for lam in off:
-                if values[lam] != 0:
-                    failures.append(Failure(f"thm12_6 lambda={format_partition(lam)}", "0", str(values[lam])))
+            off = [key for key in family if sum(map(mul, key, range(1, n + 1))) % n]
+            failures.extend(Failure(f"thm12_6 lambda={format_partition(key_partition(key))}", "0", str(values[key]))
+                            for key in off if values[key] != 0)
             sections["vanishing_off_residue"] = len(off)
 
             # scale_partition by the unit l relabels the exponent vector by x_j -> x_(l*j)
-            by_key = {tuple(map(lam.count, range(1, n + 1))): values[lam] for lam in family}
             scalings = [(l, relabeling(n, l)) for l in range(2, n + 1) if gcd(l, n) == 1]
-            for key, base in by_key.items():
-                for l, image in scalings:
-                    got = by_key[image(key)]
-                    if got != base:
-                        failures.append(Failure(f"thm12_8 lambda={format_partition(key_partition(key))} l={l}",
-                                                str(base), str(got)))
+            bases = list(map(values.__getitem__, family))
+            if any(list(map(values.__getitem__, map(image, family))) != bases for _, image in scalings):
+                for key, base in zip(family, bases):  # name each moved value, key by key
+                    for l, image in scalings:
+                        got = values[image(key)]
+                        if got != base:
+                            failures.append(Failure(f"thm12_8 lambda={format_partition(key_partition(key))} l={l}",
+                                                    str(base), str(got)))
             sections["unit_scaling"] = len(family) * len(scalings)
 
-    return [lam for lam, _ in patterns] + family, check
+    return [key for key, _ in patterns] + family, check
 
 
 def _thm32_plan(n, k, budget):
@@ -398,7 +414,6 @@ def _thm32_plan(n, k, budget):
     keys = list(admissible_keys(n, k * n)) if sweep else []
     if sweep and len(keys) != tilde:
         raise TheoremViolation(f"enumeration found {len(keys)} partitions, formula says {tilde}")
-    lams = [key_partition(key) for key in keys]
 
     def check(values, sections, failures):
         for key in expansion:
@@ -431,20 +446,21 @@ def _thm32_plan(n, k, budget):
 
         if sweep:
             run_naive = k * n <= NAIVE_LENGTH_LIMIT
-            for key, lam in zip(keys, lams):
-                dp = values[lam]
+            for key in keys:
+                dp = values[key]
                 coeff = expansion.coefficient(key)
                 if dp != coeff:
-                    failures.append(Failure(f"thm32_coefficient lambda={format_partition(lam)}",
+                    failures.append(Failure(f"thm32_coefficient lambda={format_partition(key_partition(key))}",
                                             str(coeff), str(dp)))
                 if run_naive:
+                    lam = key_partition(key)
                     naive = msp_value_naive(EvalInstance(lam, n, k))
                     if naive != dp:
                         failures.append(Failure(f"thm32_naive lambda={format_partition(lam)}",
                                                 str(dp), str(naive)))
-            sections["coefficient_agreement"] = len(lams)
+            sections["coefficient_agreement"] = len(keys)
             if run_naive:
-                sections["naive_agreement"] = len(lams)
+                sections["naive_agreement"] = len(keys)
 
         if k == 1 and is_prime(n):
             nu, want = len(expansion), prime_term_count(n)
@@ -459,7 +475,7 @@ def _thm32_plan(n, k, budget):
                 failures.append(Failure(f"thm32_automorphism l={l}", "expansion fixed", "expansion moved"))
         sections["automorphism_invariance"] = len(units)
 
-    return lams, check
+    return keys, check
 
 
 _PLANS = {"thm11": _thm11_plan, "thm12": _thm12_plan, "thm32": _thm32_plan}

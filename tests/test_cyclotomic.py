@@ -9,7 +9,10 @@ from msproots.cyclotomic import (
     CyclotomicInt,
     IntegralityViolation,
     _divmod_monic,
+    _slot_bound,
     cyclotomic_poly,
+    packed_cofactor,
+    read_packed,
     shift_add_walk,
 )
 from msproots.partitions import euler_phi
@@ -250,3 +253,48 @@ def test_multi_target_budget_boundary_is_the_down_set_size():
     assert walked == []
     assert dict(shift_add_walk(Rows(rows, walked), targets, 5, states)) == want
     assert walked == [3]
+
+
+def _integer_or_none(read, *args):
+    try:
+        return read(*args)
+    except IntegralityViolation:
+        return None
+
+
+def _packed_value(n, slots, bound):
+    """read_packed on the slots packed at the width packed_cofactor gives for `bound`, or None if it raises."""
+    width, cofactor = packed_cofactor(n, bound)
+    return _integer_or_none(read_packed, sum(c << width * i for i, c in enumerate(slots)), cofactor)
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [105])
+def test_packed_readout_matches_the_canonical_form(n):
+    """The cofactor readout gives CyclotomicInt's integer, and raises exactly when it does."""
+    rng = random.Random(n)
+    bound = _slot_bound(n, [(1,) * n])  # a walk of n rows over n columns: n! paths into a slot at most
+    phi = cyclotomic_poly(n)
+    cases = [[rng.randrange(bound + 1) for _ in range(n)] for _ in range(20)]  # random, mostly not integers
+    cases += [[bound] * n, [bound] + [0] * (n - 1)]  # every slot at the bound, and slot 0 alone
+    cases += [[rng.choice((0, bound)) for _ in range(n)] for _ in range(10)]
+    integers = []
+    for _ in range(20):  # v plus multiples of x^i * Phi_n, folded mod x^n - 1
+        v = rng.randrange(-bound, bound + 1) if n > 1 else rng.randrange(bound + 1)
+        slots = [v] + [0] * (n - 1)
+        for i in range(n):
+            a = rng.randrange(-3, 4)
+            for j, c in enumerate(phi):
+                slots[(i + j) % n] += a * c
+        if n > 1:  # 1 + x + ... + x^(n-1) is a multiple of Phi_n: lift every slot to 0 or more
+            slots = [c - min(slots) for c in slots]
+        integers.append((slots, v))
+    cases += [slots for slots, _ in integers]
+    for slots in cases:
+        want = _integer_or_none(CyclotomicInt(n, slots).to_integer)
+        assert _packed_value(n, slots, max(bound, *slots)) == want, (n, slots)
+    for slots, v in integers:
+        assert _packed_value(n, slots, max(bound, *slots)) == v, (n, slots)
+    for j in range(1, n):  # zeta^j is a rational integer only as zeta^(n/2) = -1
+        zeta = [0] * n
+        zeta[j] = 1
+        assert _packed_value(n, zeta, bound) == (-1 if 2 * j == n else None), (n, j)

@@ -103,18 +103,18 @@ def test_orbit_expand_needs_no_dp(monkeypatch, n, k):
 
 def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
     walks, readouts = [], []
-    walk, readout = cyclotomic.shift_add_walk, cyclotomic.CyclotomicInt.to_integer
+    walk, readout = cyclotomic.packed_walk, cyclotomic.read_packed
 
-    def counted_walk(rows, targets, n, budget):
+    def counted_walk(rows, targets, n, budget, width):
         walks.append(len(targets))
-        return walk(rows, targets, n, budget)
+        return walk(rows, targets, n, budget, width)
 
-    def counted_readout(value):
-        readouts.append(value.order)
-        return readout(value)
+    def counted_readout(vec, cofactor):
+        readouts.append(cofactor[0])  # the order n
+        return readout(vec, cofactor)
 
-    monkeypatch.setattr(cyclotomic, "shift_add_walk", counted_walk)
-    monkeypatch.setattr(cyclotomic.CyclotomicInt, "to_integer", counted_readout)
+    monkeypatch.setattr(cyclotomic, "packed_walk", counted_walk)
+    monkeypatch.setattr(cyclotomic, "read_packed", counted_readout)
     assert len(orbit_expand(10, 1)) == 7492
     assert walks == [268]  # one walk, with one target per orbit
     assert readouts == [10] * 268
@@ -423,8 +423,8 @@ def test_clear_caches_empties_every_memo():
     dedekind_expand(4, 1)
     msp_value_dp(EvalInstance((1, 1, 2, 2), 2, 2))
     cyclotomic.CyclotomicInt(12, [1] * 12).canonical_form()
-    memos = (msp._dp_value, cyclotomic.cyclotomic_poly, cyclotomic._reduction_rows)
+    memos = (msp._dp_value, cyclotomic.cyclotomic_poly)
     assert groupdet._expansions and all(memo.cache_info().currsize for memo in memos)
     msproots.clear_caches()
     assert not groupdet._expansions
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]

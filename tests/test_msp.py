@@ -135,7 +135,7 @@ def test_naive_counts_match_the_literal_walk(monkeypatch, naive_counts):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive oracle must not use the DP")
 
-    for module, name in [(cyclotomic, "shift_add_walk"), (msp, "msp_values_dp")]:
+    for module, name in [(cyclotomic, "packed_walk"), (msp, "msp_values_dp")]:
         monkeypatch.setattr(module, name, refuse)
     cases = list(_every_short_partition())
     assert ((3,), 1, 1) in cases and ((-2,), 1, 1) in cases and ((0,) * 6, 3, 2) in cases
@@ -249,7 +249,7 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states)
     from msproots import cyclotomic
 
     walked = []
-    walk = cyclotomic.shift_add_walk
+    walk = cyclotomic.packed_walk
 
     class Rows(list):
         def __iter__(self):
@@ -257,7 +257,7 @@ def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states)
             return super().__iter__()
 
     want = {parts: msp_value_dp(EvalInstance(parts, 4, 1)) for parts in batch}
-    monkeypatch.setattr(cyclotomic, "shift_add_walk", lambda rows, *args: walk(Rows(rows), *args))
+    monkeypatch.setattr(cyclotomic, "packed_walk", lambda rows, *args: walk(Rows(rows), *args))
     with pytest.raises(BudgetExceeded, match=f"{states} count vectors or map keys exceed the budget of {states - 1};"):
         msp_values_dp(batch, 4, 1, budget=states - 1)
     assert walked == []
@@ -429,3 +429,10 @@ def test_closed_form_value_dispatch():
     assert closed_form_value(EvalInstance((3, 3, 3), 3, 1)) == (1, "two-block")
     assert closed_form_value(EvalInstance((1, 1, 1, 2), 2, 2)) == (0, "two-block")
     assert closed_form_value(EvalInstance((1, 1, 2, 2, 3, 4, 4, 4), 4, 2)) is None
+
+
+@pytest.mark.parametrize("n,low,want", [(105, (1, 104), -105), (30, (1, 2, 27), 60)])
+def test_dp_readout_at_orders_with_several_prime_factors(n, low, want):
+    """Phi_105 is the first cyclotomic polynomial with a coefficient -2; 30 = 2 * 3 * 5."""
+    inst = EvalInstance(low + (n,) * (n - len(low)), n, 1)
+    assert msp_value_dp(inst) == closed_form_value(inst)[0] == want

@@ -72,18 +72,30 @@ def test_prop21_small_cases():
 
 
 def perturb(monkeypatch, target):
-    """Make verify.msp_values_dp return the value of `target` (sorted parts) off by one."""
+    """Make the value of `target` (sorted parts) off by one wherever verify reads it.
+
+    prop21 reads partitions from msp_values_dp; the theorem and branching
+    suites read exponent vectors over their columns 1..n from walk_values.
+    """
     from msproots import verify
 
-    honest = verify.msp_values_dp
+    batch, walk = verify.msp_values_dp, verify.walk_values
 
-    def off_by_one(partitions, n, k, budget=None):
-        values = honest(partitions, n, k, budget)
+    def batch_off_by_one(partitions, n, k, budget=None):
+        values = batch(partitions, n, k, budget)
         if target in values:
             values[target] += 1
         return values
 
-    monkeypatch.setattr(verify, "msp_values_dp", off_by_one)
+    def walk_off_by_one(columns, targets, n, budget=None):
+        values = walk(columns, targets, n, budget)
+        key = tuple(map(target.count, columns))
+        if sum(key) == len(target) and key in values:
+            values[key] += 1
+        return values
+
+    monkeypatch.setattr(verify, "msp_values_dp", batch_off_by_one)
+    monkeypatch.setattr(verify, "walk_values", walk_off_by_one)
 
 
 def test_prop21_reports_a_perturbed_value(monkeypatch):
@@ -103,6 +115,7 @@ def test_prop21_reports_a_perturbed_value(monkeypatch):
     (check_thm11, (3, 1), (1, 1, 2), "thm11_1 lambda=1,1,2"),
     (check_thm12, (4, 1), (1, 4, 4, 4), "thm12_6 lambda=1,4,4,4"),
     (check_thm12, (5, 1), (1, 4, 5, 5, 5), "thm12_pattern lambda=1,4,5,5,5"),
+    (check_thm12, (5, 1), (1, 1, 1, 2, 5), "thm12_8 lambda=1,1,1,2,5 l=2"),
     (check_thm32, (3, 1), (1, 2, 3), "thm32_coefficient lambda=1,2,3"),
     (check_branching, (2, 1, 1), (1, 1, 2, 2), "mu=1,1,2,2"),
 ])
@@ -245,18 +258,27 @@ def test_check_theorems_walks_once_and_merges_the_three_reports(monkeypatch, n, 
     perturb(monkeypatch, (1,) * (k * n))  # a two-block value, a scaling base, and a swept coefficient
     separate = [check(n, k) for check in (check_thm11, check_thm12, check_thm32)]
     batches = []
-    perturbed = verify.msp_values_dp
+    perturbed = verify.walk_values
 
-    def one_batch(partitions, *args):
-        batches.append(partitions)
-        return perturbed(partitions, *args)
+    def one_batch(columns, targets, *args):
+        batches.append(targets)
+        return perturbed(columns, targets, *args)
 
-    monkeypatch.setattr(verify, "msp_values_dp", one_batch)
+    monkeypatch.setattr(verify, "walk_values", one_batch)
     rep = check_theorems(n, k)
     assert len(batches) == 1
     assert rep.sections == {f"{r.suite}.{name}": cnt for r in separate for name, cnt in r.sections.items()}
     assert [f.to_dict() for f in rep.failures] == [f.to_dict() for r in separate for f in r.failures]
     assert rep.failures and rep.instances_checked == sum(r.instances_checked for r in separate)
+
+
+def test_family_keys_are_the_partition_enumeration_in_order():
+    from msproots.groupdet import exponent_key
+    from msproots.verify import _family
+
+    for n in range(1, 8):
+        for length in range(1, 11 - n):
+            assert _family(n, length) == [exponent_key(lam, n) for lam in enumerate_partitions(n, length)], (n, length)
 
 
 @pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 11)] + [(6, 2), (4, 3)])
@@ -420,7 +442,7 @@ def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("partitions enumerated before the budget check")
 
-    monkeypatch.setattr(verify, "enumerate_partitions", boom)
+    monkeypatch.setattr(verify, "_family", boom)
     with pytest.raises(BudgetExceeded, match="10400600 count vectors or map keys exceed the budget of 10000000"):
         check_thm11(13, 1)  # binom(26, 13) count vectors of sum <= 13
     with pytest.raises(AssertionError, match="partitions enumerated"):
