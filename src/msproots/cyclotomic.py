@@ -1,14 +1,14 @@
-"""Exact readout of cyclotomic integers, and the walk that builds them.
+"""Exact readout of cyclotomic integers, and the one walk that builds them.
 
-Values are elements of Z[zeta_n] for a fixed order n, built by
-`packed_walk` as length-n integer coefficient vectors in the working
-quotient Z[x]/(x^n - 1), where a product with a root power is a rotation
-and a sum is a vector add. Reduction modulo the n-th cyclotomic
-polynomial happens only at readout, in one of two ways. `CyclotomicInt`
-reduces a vector to the basis {1, zeta, ..., zeta^(phi(n)-1)} of
-Z[zeta_n], where the form is canonical. `read_packed` reads a walk's
-packed weight through the cofactor (x^n - 1) / Phi_n without unpacking
-it. Both read out exact integers and raise on anything else.
+Values are elements of Z[zeta_n] for a fixed order n, held as length-n
+integer coefficient vectors in the working quotient Z[x]/(x^n - 1), where
+a product with a root power is a rotation and a sum is a vector add.
+`walk_values` is the one walk (rows are character linear forms) and reads
+each value out once with `read_packed`, through the cofactor
+(x^n - 1) / Phi_n, without unpacking the packed weight. `CyclotomicInt`
+reduces an unpacked vector to the canonical basis {1, zeta, ...,
+zeta^(phi(n)-1)}, for the oracles that do not walk. Both readouts give
+exact integers and raise on anything else.
 
 All integers are arbitrary precision throughout; there is no rounding
 path anywhere in this module.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
-from operator import countOf
+from operator import countOf, lshift
 
 from .partitions import divisors
 
@@ -126,84 +126,6 @@ class CyclotomicInt:
         return f"CyclotomicInt({self.order}, {list(self.coeffs)})"
 
 
-def shift_add_walk(rows, targets, n: int, budget: int | None = None):
-    """The walk of `packed_walk` at the narrowest safe width, each weight unpacked into its n slots."""
-    width = _slot_bound(len(rows), targets).bit_length()
-    return ((state, [(vec >> width * e) & ((1 << width) - 1) for e in range(n)])
-            for state, vec in packed_walk(rows, targets, n, budget, width))
-
-
-def packed_walk(rows, targets, n: int, budget: int | None, width: int):
-    """Walk count vectors up from zero, rotating and adding in Z[x]/(x^n - 1).
-
-    The frontier maps each count vector to a weight vector and starts as
-    {zero vector: 1}. Step r raises one entry j of a count vector by one
-    and adds its weight rotated by rows[r][j] into the child's weight.
-    Only count vectors entrywise <= at least one of the (non-empty list
-    of) targets are kept. For one target that is a cap test per entry.
-    For several the vectors below some target (the down-set) are built
-    once per call, one level per sum, and row r pulls: each vector of
-    level r + 1 sums the rotated weights of its parents in level r, one
-    per nonzero entry. If the targets are every vector of sum len(rows)
-    below their entrywise maximum, a cap test keeps that down-set without
-    the levels. The frontier after the last row is returned as an
-    iterator of (count vector, packed weight) pairs, each count vector
-    unpacked as it is read; the walk is done before the call returns.
-    Before the first row, every count vector the walk will hold is checked
-    against the budget (check_budget): for a cap test, the vectors of sum
-    <= len(rows) below the caps, counted in closed form; for the levels,
-    the down-set, counted as it is built.
-
-    Both vectors are packed into single ints (Kronecker substitution). A
-    weight has n slots of `width` bits, so a rotation is two shifts and a
-    mask and an add is one int add; no slot carries when `width` holds
-    `_slot_bound`. A count vector has one field of `b` bits per entry,
-    which holds the largest target entry: the cap test (skipped when no
-    cap can bind) keeps every entry within it, and a pull only lowers
-    nonzero entries.
-    """
-    length, m = len(rows), len(targets[0])
-    mask = (1 << n * width) - 1
-    caps = tuple([max(column) for column in zip(*targets)])
-    b = max(caps, default=0).bit_length()
-    field = (1 << b) - 1
-    fields = [b * j for j in range(m)]
-    ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
-    for c in caps:
-        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
-    # the targets fill the box when they are every vector of sum `length` below the caps
-    capped = len(targets) == 1 or (ways[length] <= len(targets) and set(map(sum, targets)) == {length}
-                                   and ways[length] == len(set(targets)))
-    if capped:
-        check_budget(sum(ways), budget)
-    levels = None if capped else _down_levels(targets, fields, field, length, budget)
-    binds = any(c < length for c in caps)
-    frontier = {0: 1}
-    for r, shifts in enumerate(rows):
-        steps = [(1 << pos, (t % n) * width, (n - t % n) * width, pos, c)
-                 for t, pos, c in zip(shifts, fields, caps)]
-        nxt = {}
-        if levels is None:
-            get = nxt.get
-            for state, vec in frontier.items():
-                for one, left, right, pos, cap in steps:
-                    if binds and (state >> pos) & field >= cap:
-                        continue
-                    child = state + one
-                    nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
-        else:
-            level, levels[r + 1] = levels[r + 1], None
-            for state in level:
-                acc = 0
-                for one, left, right, pos, _ in steps:
-                    if (state >> pos) & field:
-                        vec = frontier[state - one]
-                        acc += ((vec << left) & mask) | (vec >> right)
-                nxt[state] = acc
-        frontier = nxt
-    return ((tuple([(state >> pos) & field for pos in fields]), vec) for state, vec in frontier.items())
-
-
 def _slot_bound(length: int, targets) -> int:
     """The most paths into one slot of a walk of L = `length` rows below `targets`: min(L!, m^L)
     bounds each multinomial coefficient when every target, so every kept vector, has <= m nonzero entries.
@@ -218,8 +140,8 @@ def packed_cofactor(n: int, bound: int):
     folded mod x^n - 1 sums slots of C times distinct coefficients of P or N, so it lies in
     0..bound*|Psi|_1 and nothing carries; so |v| <= bound*|Psi|_1, and every slot of C*P - C*N and
     of v*Psi lies within bound*|Psi|_1*|Psi|_inf of 0. The width is that bound's bit length plus
-    one, below which balanced digits are unique: 1 bit more than `_slot_bound` needs at n = 1, and
-    2 to 6 at n = 2..105.
+    one, below which balanced digits are unique: 1 bit more than the bound's own bit length at
+    n = 1, and 2 to 6 at n = 2..105.
     """
     psi = _divmod_monic((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))[0]
     width = (bound * sum(map(abs, psi)) * max(map(abs, psi))).bit_length() + 1
@@ -248,36 +170,89 @@ def read_packed(vec: int, cofactor) -> int:
 
 
 def walk_values(columns, targets, n, budget=None) -> dict:
-    """One packed walk with a column per part, read out by `read_packed` at each target multiplicity vector.
+    """The orbit-sum values at the root-of-unity point of the target multiplicity vectors, from one walk.
 
-    This is the walk at the root-of-unity point: placing part v at row pos
-    multiplies a path weight by zeta_n^(v*pos). The targets all sum to the
-    number of rows, so they are the whole final frontier. Each value is
-    stored under the caller's target tuple (a dict keeps the key it
-    already holds), not under the walk's equal copy. No targets, no walk.
+    There is one row per unit of the targets' common sum (a ValueError if they differ); row
+    pos places the part in column j with weight zeta_n^(columns[j]*pos), a rotation. The
+    frontier maps each count vector to a weight and starts as {zero vector: 1}; a row raises
+    one entry of a count vector and adds its rotated weight into the child's. Only count
+    vectors entrywise below some target are kept. For one target, or targets that are every
+    vector of their sum below their entrywise maximum (they fill the box), that is a cap test
+    per entry. Otherwise the vectors below some target (the down-set) are built once, one
+    level per sum, and each vector of level r + 1 pulls the rotated weights of its parents in
+    level r. Before any row is built, every count vector the walk will hold is checked with
+    check_budget: the vectors below the caps, counted in closed form, or the down-set, counted
+    as it is built.
+
+    Both vectors are packed into ints (Kronecker substitution). A weight has n slots of the
+    width `packed_cofactor` gives for `_slot_bound`, so a rotation is two shifts and a mask
+    and no slot carries. A count vector has one field of `b` bits per entry, which holds the
+    largest target entry: the cap test (skipped when no cap can bind) keeps every entry within
+    it, and a pull only lowers nonzero entries. Each target's weight is looked up in the last
+    frontier and read out by `read_packed`, keyed by the caller's tuple (repeats merged). No
+    targets, no walk.
     """
     values = dict.fromkeys(targets)
     if not values:
         return values
     targets = list(values)
-    rows = [[(v * pos) % n for v in columns] for pos in range(sum(targets[0]))]
-    width, cofactor = packed_cofactor(n, _slot_bound(len(rows), targets))
-    for t, vec in packed_walk(rows, targets, n, budget, width):
-        values[t] = read_packed(vec, cofactor)
+    length, m = sum(targets[0]), len(targets[0])
+    if any(sum(t) != length for t in targets):
+        raise ValueError(f"targets must share one sum, got {sorted(set(map(sum, targets)))}")
+    caps = tuple([max(column) for column in zip(*targets)])
+    b = max(caps, default=0).bit_length()
+    field = (1 << b) - 1
+    fields = [b * j for j in range(m)]
+    ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
+    for c in caps:
+        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
+    capped = len(targets) == 1 or ways[length] == len(targets)  # the targets fill the box
+    if capped:
+        check_budget(sum(ways), budget)
+    levels = None if capped else _down_levels(targets, fields, field, length, budget)
+    rows = [[(v * pos) % n for v in columns] for pos in range(length)]
+    width, cofactor = packed_cofactor(n, _slot_bound(length, targets))
+    mask = (1 << n * width) - 1
+    binds = any(c < length for c in caps)
+    frontier = {0: 1}
+    for r, shifts in enumerate(rows):
+        steps = [(1 << pos, t * width, (n - t) * width, pos, c) for t, pos, c in zip(shifts, fields, caps)]
+        nxt = {}
+        if levels is None:
+            get = nxt.get
+            for state, vec in frontier.items():
+                for one, left, right, pos, cap in steps:
+                    if binds and (state >> pos) & field >= cap:
+                        continue
+                    child = state + one
+                    nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
+        else:
+            level, levels[r + 1] = levels[r + 1], None
+            for state in level:
+                acc = 0
+                for one, left, right, pos, _ in steps:
+                    if (state >> pos) & field:
+                        vec = frontier[state - one]
+                        acc += ((vec << left) & mask) | (vec >> right)
+                nxt[state] = acc
+        frontier = nxt
+    for t in values:
+        values[t] = read_packed(frontier[sum(map(lshift, t, fields))], cofactor)
     return values
 
 
 def _down_levels(targets, fields, field, length, budget) -> list:
-    """The packed count vectors entrywise <= some target, as one set per sum 0..length.
+    """The packed count vectors entrywise <= some target of sum `length`, as one set per sum 0..length.
 
-    Level s holds the targets of sum s and each vector of level s + 1 with
-    one entry lowered. Raises BudgetExceeded once they hold more than `budget`.
+    Level length holds the targets and level s the vectors of level s + 1 with one entry
+    lowered. Raises BudgetExceeded once they hold more than `budget`.
     """
-    packed = [(sum(t), sum([c << pos for c, pos in zip(t, fields)])) for t in targets]
-    levels, level, states = [], set(), 0
-    for s in range(max([length] + [t for t, _ in packed]), -1, -1):
-        level = {v - (1 << p) for v in level for p in fields if v >> p & field} | {v for t, v in packed if t == s}
+    level = {sum(map(lshift, t, fields)) for t in targets}
+    levels, states = [level], len(level)
+    check_budget(states, budget)
+    for _ in range(length):
+        level = {v - (1 << p) for v in level for p in fields if v >> p & field}
         states += len(level)
         check_budget(states, budget)
         levels.append(level)
-    return levels[::-1][:length + 1]
+    return levels[::-1]

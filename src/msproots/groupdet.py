@@ -16,8 +16,8 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .cyclotomic import BudgetExceeded, CyclotomicInt, check_budget, shift_add_walk, walk_values
-from .partitions import admissible_keys, binomial, is_prime, lambda_tilde_size
+from .cyclotomic import BudgetExceeded, check_budget, walk_values
+from .partitions import admissible_keys, binomial, enumerate_partitions, is_prime, lambda_tilde_size
 
 LEIBNIZ_LIMIT = 8
 
@@ -205,14 +205,15 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     """Multiply out the k-fold product of the n character linear forms.
 
     Form i is sum_j zeta_n^(i*j) x_j; the product runs over i = 1..n,
-    repeated k times, one linear form per pass. Intermediate coefficients
-    stay in the cheap working representation (length-n vectors, shifted
-    and added); each final coefficient is read out to an integer exactly
-    once, which raises IntegralityViolation if anything non-integral
-    survives. The capped walk holds binom(kn + n, n) count vectors over
-    its rows, checked against the budget before the cache is read.
-    Completed expansions are cached per (n, k). This literal product is
-    the reference that the tests compare orbit_expand against.
+    repeated k times. That is one walk_values call over the labels 1..n
+    (row pos is form pos mod n) with every exponent vector of degree kn as
+    a target: they fill the box below (kn, ..., kn), so no cap binds and
+    each coefficient is read out to an integer exactly once, which raises
+    IntegralityViolation if anything non-integral survives. The walk holds
+    binom(kn + n, n) count vectors over its rows, checked against the
+    budget before the cache is read. Completed expansions are cached per
+    (n, k). This literal product is the reference that the tests compare
+    orbit_expand against.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
@@ -220,13 +221,8 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     cached = _expansions.get((n, k))
     if cached is not None:
         return cached
-    rows = [[(i * j) % n for j in range(1, n + 1)] for i in range(1, n + 1)] * k
-    terms = {}
-    for key, vec in shift_add_walk(rows, [(k * n,) * n], n, budget):
-        val = CyclotomicInt(n, vec).to_integer()
-        if val:
-            terms[key] = val
-    result = MonomialMap(n, k * n, terms)
+    keys = [exponent_key(p, n) for p in enumerate_partitions(n, k * n)]
+    result = MonomialMap(n, k * n, walk_values(range(1, n + 1), keys, n, budget))
     _expansions[(n, k)] = result
     return result
 

@@ -183,7 +183,8 @@ def reduce_two_distinct(lambda1: int, lambda2: int, a: int, n: int, k: int):
     """Sign and reduced instance for `a` copies of lambda1 plus kn - a copies of lambda2.
 
     The reduced partition has kn - a copies of lambda2 - lambda1 and a
-    copies of n, taken to canonical residues. The contract
+    copies of n, in canonical residues: its two blocks are written
+    directly, already sorted. The contract
     value(original) == sign * value(reduced) is checked by the verify
     suites, not assumed here.
     """
@@ -192,7 +193,7 @@ def reduce_two_distinct(lambda1: int, lambda2: int, a: int, n: int, k: int):
     if not 0 <= a <= k * n:
         raise ValueError(f"block size a={a} must lie in 0..{k * n}")
     sign = -1 if (k * (n + 1) * lambda1) % 2 else 1
-    reduced = canonical_residues((lambda2 - lambda1,) * (k * n - a) + (n,) * a, n)
+    reduced = ((lambda2 - lambda1 - 1) % n + 1,) * (k * n - a) + (n,) * a
     return sign, EvalInstance(reduced, n, k)
 
 

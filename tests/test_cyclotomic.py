@@ -13,7 +13,7 @@ from msproots.cyclotomic import (
     cyclotomic_poly,
     packed_cofactor,
     read_packed,
-    shift_add_walk,
+    walk_values,
 )
 from msproots.partitions import euler_phi
 
@@ -173,64 +173,93 @@ def pruned_reference(rows, targets, n):
             if any(all(c <= t for c, t in zip(state, target)) for target in targets)}
 
 
+def reference_values(columns, targets, n):
+    """The literal pruned walk at the point, each target read out by CyclotomicInt (None: not an integer)."""
+    rows = [[v * pos for v in columns] for pos in range(sum(targets[0]))]
+    frontier = pruned_reference(rows, targets, n)
+    if len(targets) == 1:
+        assert frontier == reference_walk(rows, targets[0], n)
+    return {t: _integer_or_none(CyclotomicInt(n, frontier[t]).to_integer) for t in targets}
+
+
 BOX = [t for t in product(range(3), range(2), range(4)) if sum(t) == 3]
 GAP = [t for t in BOX if t != (1, 1, 1)]
 
 
-def test_shift_add_walk_matches_reference():
+def test_walk_values_matches_reference():
     rng = random.Random(5)
     cases = [
-        ([], [(0, 3)], 4),  # no rows: the zero vector with weight 1
-        ([[]], [()], 2),  # no entries to raise: nothing survives the row
-        ([[2, 0, 1]], [(1, 1, 1)], 3),  # a single row
-        ([[0, 0]] * 6, [(6, 6)], 1),  # n = 1
-        ([[1, 2]] * 3, [(0, 1)], 5),  # caps too small to reach the last row
-        ([[1, 2, 0]] * 3, [(1, 2, 0), (1, 2, 0), (0, 1, 2)], 4),  # duplicate targets
-        ([[3, 1, 2]] * 4, [(1, 1, 1), (2, 1, 1), (0, 3, 1)], 5),  # a target below another
-        ([[1, 1]] * 2, [(0, 0), (2, 0), (1, 1)], 3),  # the zero target
-        ([[0, 0, 0]] * 3, [(3, 0, 0), (1, 1, 1), (0, 2, 1)], 1),  # several targets at n = 1
-        ([[0, 2]] * 2, [(0, 0), (0, 0)], 3),  # only the zero target, twice
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], BOX, 5),  # every vector of sum 3 below (2, 1, 3)
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], BOX + BOX[:2], 5),  # the same, with repeats
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP, 5),  # all but one of them, under the same maximum
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + GAP[:1], 5),  # as many, one repeated in place of one
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], GAP + [(1, 1, 2)], 5),  # as many, one of sum 4
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], [(2, 2, 1), (1, 0, 1), (0, 1, 0), (0, 4, 0)], 5),  # sums 5, 2, 1, 4
-        ([[1, 2, 0], [2, 2, 1], [0, 3, 1]], [(1, 0, 2), (2, 0, 1), (0, 0, 3)], 4),  # no target uses column 1
-        ([[2, 0, 1]], [(1, 0, 0), (0, 1, 0), (0, 0, 2)], 3),  # one row, several targets
-        ([], [(0, 3), (1, 1)], 4),  # no rows, several targets
+        ([3, 4], [(0, 0)], 4),  # no rows: the zero vector with weight 1
+        ([], [()], 2),  # no columns and no rows
+        ([1, 1], [(0, 0), (0, 0)], 3),  # only the zero target, twice
+        ([2, 0, 1], [(1, 0, 0)], 3),  # a single row
+        ([2, 0, 1], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),  # one row, several targets
+        ([0, 5], [(3, 3)], 1),  # n = 1
+        ([0, 1, 2], [(3, 0, 0), (1, 1, 1), (0, 2, 1)], 1),  # several targets at n = 1
+        ([1, 2], [(0, 3)], 3),  # caps that bind
+        ([2], [(6,)], 3),  # one column: its cap never binds
+        ([1, 2, 4], [(1, 2, 0), (1, 2, 0), (0, 1, 2)], 3),  # a duplicate target
+        ([1, 2, 4], BOX, 3),  # every vector of sum 3 below (2, 1, 3)
+        ([1, 2, 4], BOX + BOX[:2], 3),  # the same, with repeats
+        ([1, 2, 4], GAP, 3),  # all but one of them, under the same maximum
+        ([1, 2, 4], GAP + GAP[:1], 3),  # as many, one repeated in place of one
+        ([1, 1, 5], BOX, 3),  # a repeated column
+        ([1, 2, 4], [(1, 0, 2), (2, 0, 1), (0, 0, 3)], 3),  # no target uses column 1
+        ([1, 2, 4], BOX, 5),  # the box at an order whose values are not all integers
+        ([1, 2], [(1, 1)], 3),  # zeta_3: not an integer
     ]
-    for _ in range(150):
+    for _ in range(150):  # single targets, their caps binding or (one column, or no rows) not
         n = rng.randrange(1, 13)
         m = rng.randrange(1, 5)
-        length = rng.randrange(1, 8)
-        rows = [[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(length)]
+        length = n * rng.randrange(1, 7 // n + 1) if n <= 7 and rng.random() < 0.5 else rng.randrange(0, 8)
+        target = [0] * m
+        for _ in range(length):
+            target[rng.randrange(m)] += 1
+        cases.append(([rng.randrange(-n, 2 * n) for _ in range(m)], [tuple(target)], n))
+    for _ in range(150):  # sets of one sum: boxes filled or not, repeats and gaps
+        n = rng.randrange(1, 8)
+        m = rng.randrange(1, 5)
+        length = n * rng.randrange(1, 7 // n + 1) if rng.random() < 0.7 else rng.randrange(0, 8)
+        caps = [rng.randrange(0, length + 1) for _ in range(m)]
+        caps[0] = max(caps[0], length - sum(caps[1:]))  # the box holds a vector of sum `length`
+        box = [t for t in product(*[range(c + 1) for c in caps]) if sum(t) == length]
+        targets = rng.sample(box, rng.randrange(1, len(box) + 1)) if rng.random() < 0.5 else box[:]
         if rng.random() < 0.5:
-            caps = tuple(rng.randrange(0, length + 1) for _ in range(m))  # caps that bind
+            targets.append(rng.choice(targets))  # a repeat
+        cases.append(([rng.randrange(-n, 2 * n) for _ in range(m)], targets, n))
+    integral = 0
+    for columns, targets, n in cases:
+        want = reference_values(columns, targets, n)
+        for t, value in want.items():  # each target alone takes the cap test
+            if value is None:
+                with pytest.raises(IntegralityViolation):
+                    walk_values(columns, [t], n)
+            else:
+                assert walk_values(columns, [t], n) == {t: value}, (columns, t, n)
+        if None in want.values():
+            with pytest.raises(IntegralityViolation):
+                walk_values(columns, targets, n)
         else:
-            caps = tuple(rng.randrange(length, length + 3) for _ in range(m))  # caps that never bind
-        cases.append((rows, [caps], n))
-    for _ in range(150):
-        n = rng.randrange(1, 13)
-        m = rng.randrange(1, 5)
-        length = rng.randrange(1, 8)
-        rows = [[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(length)]
-        targets = [tuple(rng.randrange(0, length + 2) for _ in range(m)) for _ in range(rng.randrange(2, 7))]
-        if rng.random() < 0.5:
-            targets.append(rng.choice(targets))  # a duplicate
-        cases.append((rows, targets, n))
-    for rows, targets, n in cases:
-        want = pruned_reference(rows, targets, n)
-        if len(targets) == 1:
-            assert want == reference_walk(rows, targets[0], n)
-        assert dict(shift_add_walk(rows, targets, n)) == want, (rows, targets, n)
+            integral += 1
+            assert walk_values(columns, targets, n) == want, (columns, targets, n)
+    assert integral > len(cases) // 2
 
 
-class Rows(list):
-    """Rows that record each time the walk starts iterating them."""
+@pytest.mark.parametrize("targets", [
+    [(1, 1), (1, 0)],  # sums 2 and 1: the second is below the first
+    [(2, 0), (0, 1)],  # sums 2 and 1, neither below the other
+    [(0, 0), (2, 0), (1, 1)],  # the zero target among others
+])
+def test_mixed_target_sums_are_rejected(targets):
+    with pytest.raises(ValueError, match="targets must share one sum"):
+        walk_values([1, 2], targets, 3)
 
-    def __init__(self, rows, walked):
-        super().__init__(rows)
+
+class Columns(list):
+    """Columns that record each time a row is built from them."""
+
+    def __init__(self, columns, walked):
+        super().__init__(columns)
         self.walked = walked
 
     def __iter__(self):
@@ -239,20 +268,19 @@ class Rows(list):
 
 
 def test_multi_target_budget_boundary_is_the_down_set_size():
-    rows = [[1, 2, 0], [2, 2, 1], [0, 3, 1]]
-    targets = [(2, 2, 1), (1, 0, 1), (0, 4, 0)]  # sums 5, 2 and 4 over 3 rows
+    targets = [(2, 2, 1), (1, 4, 0), (0, 1, 4)]  # sum 5 each, far from filling the box below (2, 4, 4)
     states = sum(any(all(c <= t for c, t in zip(v, target)) for target in targets)
-                 for v in product(range(3), range(5), range(2)))
-    assert states == 20  # 18 below (2, 2, 1), which holds (1, 0, 1), and (0, 3, 0), (0, 4, 0)
-    want = pruned_reference(rows, targets, 5)
+                 for v in product(range(3), range(5), range(5)))
+    assert states == 28  # 18 below (2, 2, 1), 10 below (1, 4, 0) and 10 below (0, 1, 4), less 10 counted twice
+    want = reference_values([1, 2, 3], targets, 5)
     walked = []
     with pytest.raises(BudgetExceeded) as exc:
-        shift_add_walk(Rows(rows, walked), targets, 5, states - 1)
+        walk_values(Columns([1, 2, 3], walked), targets, 5, states - 1)
     assert str(exc.value) == (f"{states} count vectors or map keys exceed the budget of {states - 1}; "
                               "pass a larger budget to override")
     assert walked == []
-    assert dict(shift_add_walk(Rows(rows, walked), targets, 5, states)) == want
-    assert walked == [3]
+    assert walk_values(Columns([1, 2, 3], walked), targets, 5, states) == want
+    assert walked == [3] * 5
 
 
 def _integer_or_none(read, *args):

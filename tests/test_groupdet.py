@@ -103,17 +103,17 @@ def test_orbit_expand_needs_no_dp(monkeypatch, n, k):
 
 def test_orbit_expand_walks_once_and_reads_out_once_per_orbit(monkeypatch):
     walks, readouts = [], []
-    walk, readout = cyclotomic.packed_walk, cyclotomic.read_packed
+    walk, readout = groupdet.walk_values, cyclotomic.read_packed
 
-    def counted_walk(rows, targets, n, budget, width):
+    def counted_walk(columns, targets, n, budget):
         walks.append(len(targets))
-        return walk(rows, targets, n, budget, width)
+        return walk(columns, targets, n, budget)
 
     def counted_readout(vec, cofactor):
         readouts.append(cofactor[0])  # the order n
         return readout(vec, cofactor)
 
-    monkeypatch.setattr(cyclotomic, "packed_walk", counted_walk)
+    monkeypatch.setattr(groupdet, "walk_values", counted_walk)
     monkeypatch.setattr(cyclotomic, "read_packed", counted_readout)
     assert len(orbit_expand(10, 1)) == 7492
     assert walks == [268]  # one walk, with one target per orbit

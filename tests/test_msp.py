@@ -130,12 +130,12 @@ def _every_short_partition():
 
 def test_naive_counts_match_the_literal_walk(monkeypatch, naive_counts):
     """Rotated or not, the naive walk counts every rearrangement per residue exactly as the literal walk."""
-    from msproots import cyclotomic, msp
+    from msproots import msp
 
     def refuse(*args, **kwargs):
         raise AssertionError("the naive oracle must not use the DP")
 
-    for module, name in [(cyclotomic, "packed_walk"), (msp, "msp_values_dp")]:
+    for module, name in [(msp, "walk_values"), (msp, "msp_values_dp")]:
         monkeypatch.setattr(module, name, refuse)
     cases = list(_every_short_partition())
     assert ((3,), 1, 1) in cases and ((-2,), 1, 1) in cases and ((0,) * 6, 3, 2) in cases
@@ -246,23 +246,25 @@ def test_dp_memo_never_skips_the_budget():
     ([(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)], 15),  # every vector of sum <= 4
 ])
 def test_batch_down_set_guard_raises_before_the_walk(monkeypatch, batch, states):
-    from msproots import cyclotomic
+    from msproots import msp
 
     walked = []
-    walk = cyclotomic.packed_walk
+    walk = msp.walk_values
 
-    class Rows(list):
+    class Columns(list):
+        """Columns that record each time a row is built from them."""
+
         def __iter__(self):
             walked.append(len(self))
             return super().__iter__()
 
     want = {parts: msp_value_dp(EvalInstance(parts, 4, 1)) for parts in batch}
-    monkeypatch.setattr(cyclotomic, "packed_walk", lambda rows, *args: walk(Rows(rows), *args))
+    monkeypatch.setattr(msp, "walk_values", lambda columns, *args: walk(Columns(columns), *args))
     with pytest.raises(BudgetExceeded, match=f"{states} count vectors or map keys exceed the budget of {states - 1};"):
         msp_values_dp(batch, 4, 1, budget=states - 1)
     assert walked == []
     assert msp_values_dp(batch, 4, 1, budget=states) == want
-    assert walked == [4]
+    assert walked == [len(set().union(*batch))] * 4  # one row per part, each over every column
 
 
 def test_two_block_closed_form_examples():
