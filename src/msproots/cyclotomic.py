@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
-from operator import countOf, lshift
+from operator import countOf, lshift, mul
 
 from .partitions import divisors
 
@@ -172,25 +172,41 @@ def read_packed(vec: int, cofactor) -> int:
 def walk_values(columns, targets, n, budget=None) -> dict:
     """The orbit-sum values at the root-of-unity point of the target multiplicity vectors, from one walk.
 
-    There is one row per unit of the targets' common sum (a ValueError if they differ); row
-    pos places the part in column j with weight zeta_n^(columns[j]*pos), a rotation. The
-    frontier maps each count vector to a weight and starts as {zero vector: 1}; a row raises
-    one entry of a count vector and adds its rotated weight into the child's. Only count
-    vectors entrywise below some target are kept. For one target, or targets that are every
-    vector of their sum below their entrywise maximum (they fill the box), that is a cap test
-    per entry. Otherwise the vectors below some target (the down-set) are built once, one
-    level per sum, and each vector of level r + 1 pulls the rotated weights of its parents in
-    level r. Before any row is built, every count vector the walk will hold is checked with
-    check_budget: the vectors below the caps, counted in closed form, or the down-set, counted
-    as it is built.
+    There is one row per unit of the targets' common sum L (a ValueError if they differ),
+    less the last under the cyclic shift below; row pos places the part in column j with
+    weight zeta_n^(columns[j]*pos), a rotation. The frontier maps each count vector to a
+    weight and starts as {zero vector: 1}; a row raises one entry of a count vector and adds
+    its rotated weight into the child's. Only count vectors entrywise below some walked
+    vector are kept. For one walked vector, or walked vectors that are every vector of their
+    sum below their entrywise maximum (they fill the box), that is a cap test per entry.
+    Otherwise the vectors below some walked vector (the down-set) are built once, one level
+    per sum, and each vector of level r + 1 pulls the rotated weights of its parents in level
+    r. Before any row is built, every count vector the walk will hold is checked with
+    check_budget: the vectors below the caps, counted in closed form, or the down-set,
+    counted as it is built.
+
+    The walked vectors are the targets, except when n divides L >= 1 and every target's label
+    sum c.t = sum_j columns[j]*t_j (Lemma 2.4's cyclic shift). Rotating a word by one row, its
+    first part to the end, lowers every other part by one row and moves the first from row 0
+    to row L - 1, so its exponent changes by L*c_first - c.t, which n divides: the rotation
+    keeps the weight. Rotating one of a word's t_v places that hold column v to the end pairs
+    (word, place) one-to-one with (word ending in v, one of L rotations), so
+    t_v * W(t) = L * zeta^((L-1)*c_v) * W'(t - e_v), where W' walks rows 0..L-2. The walk
+    therefore stops at the parents t - e_v, with v the entry of fewest copies (ties to the
+    last), and reads each parent's weight rotated by (L-1)*c_v, scaled by L / t_v. That
+    rotated weight is t_v/L * W(t). When W(t) is a rational integer it is rational and an
+    algebraic integer, hence an integer, and the division by t_v is exact (asserted). When
+    W(t) is not rational, neither is it, and read_packed raises as it would on W(t). Any
+    other target set, or L = 0, walks all L rows.
 
     Both vectors are packed into ints (Kronecker substitution). A weight has n slots of the
-    width `packed_cofactor` gives for `_slot_bound`, so a rotation is two shifts and a mask
-    and no slot carries. A count vector has one field of `b` bits per entry, which holds the
-    largest target entry: the cap test (skipped when no cap can bind) keeps every entry within
-    it, and a pull only lowers nonzero entries. Each target's weight is looked up in the last
-    frontier and read out by `read_packed`, keyed by the caller's tuple (repeats merged). No
-    targets, no walk.
+    width `packed_cofactor` gives for `_slot_bound` of the rows walked, so no slot carries. A
+    push or pull adds the weight shifted left by its rotation, and each state's sum is folded
+    mod x^n - 1 once (high n slots onto the low n), as it is read. A count vector has one
+    field of `b` bits per entry, which holds the largest walked entry: the cap test (skipped
+    when no cap can bind) keeps every entry within it, and a pull only lowers nonzero entries.
+    Each target's weight is looked up in the last frontier and read out by `read_packed`,
+    keyed by the caller's tuple (repeats merged). No targets, no walk.
     """
     values = dict.fromkeys(targets)
     if not values:
@@ -199,45 +215,61 @@ def walk_values(columns, targets, n, budget=None) -> dict:
     length, m = sum(targets[0]), len(targets[0])
     if any(sum(t) != length for t in targets):
         raise ValueError(f"targets must share one sum, got {sorted(set(map(sum, targets)))}")
-    caps = tuple([max(column) for column in zip(*targets)])
+    labels = [columns[j] for j in range(m)]  # by index: each row is the one pass over `columns`
+    reads, times = {}, 1  # under the cyclic shift: target -> (parent, rotation, copies t_v), and L
+    if length and not length % n and all(sum(map(mul, labels, t)) % n == 0 for t in targets):
+        times, length = length, length - 1
+        for t in targets:
+            v = min(range(m), key=lambda j: (not t[j], t[j], -j))
+            reads[t] = t[:v] + (t[v] - 1,) + t[v + 1:], length * labels[v] % n, t[v]
+    walked = list(dict.fromkeys([parent for parent, _, _ in reads.values()])) if reads else targets
+    caps = tuple([max(column) for column in zip(*walked)])
     b = max(caps, default=0).bit_length()
     field = (1 << b) - 1
     fields = [b * j for j in range(m)]
     ways = [1] + [0] * length  # ways[s]: vectors of sum s below the caps taken so far
     for c in caps:
         ways = [sum(ways[max(0, s - c):s + 1]) for s in range(length + 1)]
-    capped = len(targets) == 1 or ways[length] == len(targets)  # the targets fill the box
+    capped = len(walked) == 1 or ways[length] == len(walked)  # the walked vectors fill the box
     if capped:
         check_budget(sum(ways), budget)
-    levels = None if capped else _down_levels(targets, fields, field, length, budget)
+    levels = None if capped else _down_levels(walked, fields, field, length, budget)
     rows = [[(v * pos) % n for v in columns] for pos in range(length)]
-    width, cofactor = packed_cofactor(n, _slot_bound(length, targets))
-    mask = (1 << n * width) - 1
+    width, cofactor = packed_cofactor(n, _slot_bound(length, walked))
+    shift = n * width
+    mask = (1 << shift) - 1
     binds = any(c < length for c in caps)
     frontier = {0: 1}
     for r, shifts in enumerate(rows):
-        steps = [(1 << pos, t * width, (n - t) * width, pos, c) for t, pos, c in zip(shifts, fields, caps)]
+        steps = [(1 << pos, t * width, pos, c) for t, pos, c in zip(shifts, fields, caps)]
         nxt = {}
         if levels is None:
             get = nxt.get
             for state, vec in frontier.items():
-                for one, left, right, pos, cap in steps:
+                vec = (vec & mask) + (vec >> shift)
+                for one, left, pos, cap in steps:
                     if binds and (state >> pos) & field >= cap:
                         continue
                     child = state + one
-                    nxt[child] = get(child, 0) + (((vec << left) & mask) | (vec >> right))
+                    nxt[child] = get(child, 0) + (vec << left)
         else:
             level, levels[r + 1] = levels[r + 1], None
             for state in level:
                 acc = 0
-                for one, left, right, pos, _ in steps:
+                for one, left, pos, _ in steps:
                     if (state >> pos) & field:
-                        vec = frontier[state - one]
-                        acc += ((vec << left) & mask) | (vec >> right)
-                nxt[state] = acc
+                        acc += frontier[state - one] << left
+                nxt[state] = (acc & mask) + (acc >> shift)
         frontier = nxt
     for t in values:
-        values[t] = read_packed(frontier[sum(map(lshift, t, fields))], cofactor)
+        parent, turn, copies = reads.get(t) or (t, 0, 1)
+        vec = frontier[sum(map(lshift, parent, fields))]
+        vec = (vec & mask) + (vec >> shift)
+        vec = ((vec << turn * width) & mask) | (vec >> (n - turn) * width)
+        values[t], rest = divmod(read_packed(vec, cofactor) * times, copies)
+        if rest:
+            raise AssertionError(f"the value below {t} times {times} rows does not divide by {copies} copies; "
+                                 "arithmetic is broken")
     return values
 
 

@@ -238,7 +238,10 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     lexicographic order represents it, and one walk_values call over the
     labels (its rows are the determinant's linear forms, form n as row 0),
     kept to the count vectors below some representative, gives every
-    representative's coefficient with one readout each. Each value
+    representative's coefficient with one readout each. Every key's label
+    sum is divisible by n, so that walk stops one row short (Lemma 2.4's
+    cyclic shift) and holds only the count vectors below the parents: 4,344
+    at (10, 1) against 10,422 below the keys themselves. Each value
     written with its sign to the whole orbit gives the determinant; the
     k-th power is k - 1 sparse products.
     No map it builds holds more keys than the lambda_tilde_size(n, k)

@@ -116,10 +116,12 @@ def msp_value_dp(inst: EvalInstance, budget: int | None = None) -> int:
     zeta-power weight of every way of reaching it. Assigning part v to
     position j multiplies a path weight by zeta^(v*(j-1)). Each distinct
     rearrangement is counted exactly once because equal parts are only
-    interchangeable through their shared counter. The walk holds the
-    product of (multiplicity + 1) over distinct parts as states, and
-    raises BudgetExceeded before its first row when that passes the
-    budget (None: the default). Values are memoized per (parts,
+    interchangeable through their shared counter. When n divides the part
+    sum, the walk stops one position short (Lemma 2.4's cyclic shift, in
+    walk_values) with one copy of the part of fewest copies left out. The
+    walk holds the product of (multiplicity + 1) over distinct parts, so
+    lowered, as states, and raises BudgetExceeded before its first row
+    when that passes the budget (None: the default). Values are memoized per (parts,
     multiplicities, n, budget), so a memo hit never skips the guard.
     """
     columns = tuple(sorted(set(inst.parts)))

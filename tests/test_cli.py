@@ -172,9 +172,9 @@ def test_explicit_default_budget_matches_omitted(monkeypatch):
     assert run_cli(argv) == omitted
 
 
-@pytest.mark.parametrize("n,k,bound", [(6, 1, 155), (4, 2, 43), (3, 3, 19), (10, 1, 10_422)])
+@pytest.mark.parametrize("n,k,bound", [(6, 1, 80), (4, 2, 43), (3, 3, 19), (10, 1, 9_252)])
 def test_conjecture_and_expand_refuse_at_the_same_budget(n, k, bound):
-    # (6, 1) and (10, 1) stop at the walk's down-set, (4, 2) and (3, 3) at the lambda_tilde keys
+    # each stops at the lambda_tilde keys; the walks at (6, 1) and (10, 1) hold only 66 and 4,344 count vectors
     for budget, want in ((bound - 1, 3), (bound, 0)):
         outcomes = []
         for command in ("conjecture", "expand", "count"):

@@ -1,4 +1,5 @@
 import cmath
+import operator
 import random
 from itertools import product
 
@@ -186,6 +187,35 @@ BOX = [t for t in product(range(3), range(2), range(4)) if sum(t) == 3]
 GAP = [t for t in BOX if t != (1, 1, 1)]
 
 
+class Columns(list):
+    """Columns that record each time a row is built from them."""
+
+    def __init__(self, columns, walked):
+        super().__init__(columns)
+        self.walked = walked
+
+    def __iter__(self):
+        self.walked.append(len(self))
+        return super().__iter__()
+
+
+def rows_walked(columns, targets, n):
+    """L - 1 when n divides L >= 1 and every target's label sum (Lemma 2.4's cyclic shift), else L."""
+    length = sum(targets[0])
+    if length and length % n == 0 and all(sum(c * x for c, x in zip(columns, t)) % n == 0 for t in targets):
+        return length - 1
+    return length
+
+
+def recorded_walk(columns, targets, n):
+    """walk_values on `columns` through a Columns recorder, which must see rows_walked rows."""
+    walked = []
+    try:
+        return walk_values(Columns(columns, walked), targets, n)
+    finally:
+        assert walked == [len(columns)] * rows_walked(columns, targets, n), (columns, targets, n)
+
+
 def test_walk_values_matches_reference():
     rng = random.Random(5)
     cases = [
@@ -196,6 +226,7 @@ def test_walk_values_matches_reference():
         ([2, 0, 1], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),  # one row, several targets
         ([0, 5], [(3, 3)], 1),  # n = 1
         ([0, 1, 2], [(3, 0, 0), (1, 1, 1), (0, 2, 1)], 1),  # several targets at n = 1
+        ([4], [(1,)], 1),  # n = 1 and one row: the shift leaves no row to walk
         ([1, 2], [(0, 3)], 3),  # caps that bind
         ([2], [(6,)], 3),  # one column: its cap never binds
         ([1, 2, 4], [(1, 2, 0), (1, 2, 0), (0, 1, 2)], 3),  # a duplicate target
@@ -207,6 +238,14 @@ def test_walk_values_matches_reference():
         ([1, 2, 4], [(1, 0, 2), (2, 0, 1), (0, 0, 3)], 3),  # no target uses column 1
         ([1, 2, 4], BOX, 5),  # the box at an order whose values are not all integers
         ([1, 2], [(1, 1)], 3),  # zeta_3: not an integer
+        # Every label sum divisible by n, so the last row is not walked:
+        ([1, 2, 3], [(1, 1, 1)], 3),  # a lone target whose parent drops a count-1 column
+        ([1, 4, -2], [(2, 1, 0), (2, 0, 1)], 3),  # both drop their count-1 column: one parent (2, 0, 0)
+        ([1, 4, -2], [(2, 1, 0), (2, 0, 1), (0, 3, 0), (1, 1, 1), (0, 0, 3)], 3),  # negative, repeated mod 3
+        ([1, 3], [(2, 2)], 2),  # L = 2n
+        ([1, 2, 3], [(0, 3, 3), (2, 2, 2), (4, 1, 1), (2, 2, 2)], 3),  # L = 2n, a repeated target
+        ([2, 5, -1, 3], [(2, 1, 1, 4), (4, 2, 1, 1), (0, 2, 2, 4)], 4),  # L = 2n, ties for fewest copies
+        ([1, 2, 4], [(3, 0, 0), (2, 1, 0)], 3),  # one label sum divisible by 3, one not: all L rows
     ]
     for _ in range(150):  # single targets, their caps binding or (one column, or no rows) not
         n = rng.randrange(1, 13)
@@ -227,22 +266,33 @@ def test_walk_values_matches_reference():
         if rng.random() < 0.5:
             targets.append(rng.choice(targets))  # a repeat
         cases.append(([rng.randrange(-n, 2 * n) for _ in range(m)], targets, n))
-    integral = 0
+    for _ in range(100):  # sets whose every label sum n divides, at L = kn
+        n = rng.randrange(1, 7)
+        m = rng.randrange(1, 5)
+        length = n * rng.randrange(1, 8 // n + 1)
+        columns = [rng.randrange(-n, 2 * n) for _ in range(m)]
+        box = [t for t in product(range(length + 1), repeat=m)
+               if sum(t) == length and sum(map(operator.mul, columns, t)) % n == 0]
+        if box:
+            targets = rng.sample(box, rng.randrange(1, min(len(box), 6) + 1))
+            cases.append((columns, targets + targets[:rng.randrange(2)], n))
+    integral = shortened = 0
     for columns, targets, n in cases:
         want = reference_values(columns, targets, n)
         for t, value in want.items():  # each target alone takes the cap test
             if value is None:
                 with pytest.raises(IntegralityViolation):
-                    walk_values(columns, [t], n)
+                    recorded_walk(columns, [t], n)
             else:
-                assert walk_values(columns, [t], n) == {t: value}, (columns, t, n)
+                assert recorded_walk(columns, [t], n) == {t: value}, (columns, t, n)
         if None in want.values():
             with pytest.raises(IntegralityViolation):
-                walk_values(columns, targets, n)
+                recorded_walk(columns, targets, n)
         else:
             integral += 1
-            assert walk_values(columns, targets, n) == want, (columns, targets, n)
-    assert integral > len(cases) // 2
+            assert recorded_walk(columns, targets, n) == want, (columns, targets, n)
+        shortened += rows_walked(columns, targets, n) < sum(targets[0])
+    assert integral > len(cases) // 2 and shortened > 150
 
 
 @pytest.mark.parametrize("targets", [
@@ -253,18 +303,6 @@ def test_walk_values_matches_reference():
 def test_mixed_target_sums_are_rejected(targets):
     with pytest.raises(ValueError, match="targets must share one sum"):
         walk_values([1, 2], targets, 3)
-
-
-class Columns(list):
-    """Columns that record each time a row is built from them."""
-
-    def __init__(self, columns, walked):
-        super().__init__(columns)
-        self.walked = walked
-
-    def __iter__(self):
-        self.walked.append(len(self))
-        return super().__iter__()
 
 
 def test_multi_target_budget_boundary_is_the_down_set_size():

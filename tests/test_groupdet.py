@@ -133,10 +133,10 @@ def test_orbit_expand_outcome_matches_walk(n, k):
 
 
 @pytest.mark.parametrize("fn,n,k,bound", [
-    (orbit_expand, 6, 1, 155),  # the walk's down-set: 155 count vectors, above the 80 keys
+    (orbit_expand, 6, 1, 80),  # lambda_tilde_size(6, 1) keys, above the walk's 66 count vectors
     (orbit_expand, 4, 2, 43),  # lambda_tilde_size(4, 2) keys, above the down-set at (4, 1)
     (orbit_expand, 3, 3, 19),
-    (orbit_expand, 10, 1, 10_422),
+    (orbit_expand, 10, 1, 9_252),  # keys, above the walk's 4,344 (see the next test)
     (dedekind_expand, 4, 3, 1_820),  # binom(kn + n, n) count vectors in the capped walk
 ])
 def test_expansion_guard_boundary(fn, n, k, bound):
@@ -145,6 +145,44 @@ def test_expansion_guard_boundary(fn, n, k, bound):
         BudgetExceeded, f"{bound} count vectors or map keys exceed the budget of {bound - 1}; "
                         "pass a larger budget to override")
     assert _outcome(fn, n, k, bound) == len(orbit_expand(n, k))
+
+
+def _down_set(vectors):
+    """Every vector entrywise <= one of `vectors`, counted on tuples."""
+    seen, level = set(), set(vectors)
+    while level:
+        seen |= level
+        level = {v[:j] + (v[j] - 1,) + v[j + 1:] for v in level for j in range(len(v)) if v[j]}
+    return len(seen)
+
+
+def test_representative_walk_holds_the_parents_down_set(monkeypatch):
+    """At (10, 1) every representative's label sum is divisible by 10, so the walk stops one row
+    short, at the parents t - e_v (v the entry of fewest copies, ties to the last)."""
+    reps = []
+    walk = groupdet.walk_values
+    monkeypatch.setattr(groupdet, "walk_values", lambda columns, targets, *args: reps.extend(targets) or walk(columns, targets, *args))
+    orbit_expand(10, 1)
+    parents = set()
+    for t in reps:
+        v = max(j for j in range(10) if t[j] == min(c for c in t if c))
+        parents.add(t[:v] + (t[v] - 1,) + t[v + 1:])
+    assert (len(reps), _down_set(reps), _down_set(parents)) == (268, 10_422, 4_344)
+    walked = []
+
+    class Columns(list):
+        def __iter__(self):
+            walked.append(len(self))
+            return super().__iter__()
+
+    with pytest.raises(BudgetExceeded, match="^4344 count vectors or map keys exceed the budget of 4343;"):
+        walk(Columns(range(1, 11)), reps, 10, 4_343)
+    assert walked == []
+    values = walk(Columns(range(1, 11)), reps, 10, 4_344)
+    assert walked == [10] * 9
+    full = walk(Columns(range(1, 11)), reps + [(9, 1) + (0,) * 8], 10)  # label sum 11: all 10 rows
+    assert walked == [10] * 19
+    assert values == {t: full[t] for t in reps}
 
 
 def test_orbit_expand_checks_the_orbit_cover(monkeypatch):

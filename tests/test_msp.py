@@ -231,6 +231,13 @@ def test_batch_budget_guard_matches_single():
     assert str(joint.value) == "19 count vectors or map keys exceed the budget of 18; pass a larger budget to override"
 
 
+def test_dp_budget_guard_counts_the_parent_box_on_a_divisible_sum():
+    inst = EvalInstance((1, 2, 3, 6), 4, 1)  # sum 12: the walk stops at the parent (1, 1, 1, 0)
+    with pytest.raises(BudgetExceeded, match="^8 count vectors or map keys exceed the budget of 7;"):
+        msp_value_dp(inst, budget=7)
+    assert msp_value_dp(inst, budget=8) == msp_value_naive(inst)
+
+
 def test_dp_memo_never_skips_the_budget():
     inst = EvalInstance((1, 2, 3, 4), 4, 1)
     msproots.clear_caches()
