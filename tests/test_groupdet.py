@@ -136,7 +136,7 @@ def test_orbit_expand_outcome_matches_walk(n, k):
     (orbit_expand, 6, 1, 80),  # lambda_tilde_size(6, 1) keys, above the walk's 66 count vectors
     (orbit_expand, 4, 2, 43),  # lambda_tilde_size(4, 2) keys, above the down-set at (4, 1)
     (orbit_expand, 3, 3, 19),
-    (orbit_expand, 10, 1, 9_252),  # keys, above the walk's 4,344 (see the next test)
+    (orbit_expand, 10, 1, 9_252),  # lambda_tilde_size(10, 1) keys, above the walk's 4,344 count vectors
     (dedekind_expand, 4, 3, 1_820),  # binom(kn + n, n) count vectors in the capped walk
 ])
 def test_expansion_guard_boundary(fn, n, k, bound):
