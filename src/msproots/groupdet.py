@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
 from .cyclotomic import BudgetExceeded, check_budget, walk_values
-from .partitions import admissible_keys, binomial, enumerate_partitions, is_prime, lambda_tilde_size
+from .partitions import binomial, enumerate_partitions, is_prime, lambda_tilde_size, leading_keys
 
 LEIBNIZ_LIMIT = 8
 
@@ -157,9 +157,9 @@ class MonomialMap:
         vectors is ascending lexicographic order of their partitions. Keys
         are distinct, so sorting them alone gives the order of the pairs.
         """
-        labels = [f"{i + 1}," for i in range(self.n_vars)]
+        runs = [[f"{i + 1}," * e for e in range(self.degree + 1)] for i in range(self.n_vars)]
         terms = self._terms
-        return [("".join(map(mul, labels, key))[:-1], terms[key]) for key in sorted(terms, reverse=True)]
+        return [("".join(map(getitem, runs, key))[:-1], terms[key]) for key in sorted(terms, reverse=True)]
 
     def __repr__(self):
         return f"MonomialMap(n_vars={self.n_vars}, degree={self.degree}, terms={len(self._terms)})"
@@ -235,7 +235,12 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     the keys and multiply the coefficients by (-1)^(c(n-1)): scaling by l
     conjugates the circulant by a permutation matrix, and shifting by c
     multiplies it by a cyclic shift. So the first key of each orbit in
-    lexicographic order represents it, and one walk_values call over the
+    lexicographic order (its largest exponent vector) represents it. A
+    shift moves any entry of that key to label 1, and a larger first entry
+    would give a larger key of the orbit, so it leads with its largest
+    entry: the collect streams only leading_keys(n, n), 1,290 of the 9,252
+    admissible keys at n = 10, and meets the same representatives in the
+    same order. One walk_values call over the
     labels (its rows are the determinant's linear forms, form n as row 0),
     kept to the count vectors below some representative, gives every
     representative's coefficient with one readout each. Every key's label
@@ -254,7 +259,7 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
             for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
     orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
     reps = []
-    for key in admissible_keys(n, n):
+    for key in leading_keys(n, n):
         if key in orbit:
             continue
         reps.append(key)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb, gcd
-from operator import mul
 
 
 def binomial(a: int, b: int) -> int:
@@ -97,6 +96,40 @@ def admissible_keys(n: int, degree: int):
             head = tuple(map(combo.count, range(1, half + 1)))
             for tail in tail_keys:
                 yield head + tail
+
+
+def _capped(labels, cap: int, most: int) -> list:
+    """(vector, sum, label sum) for the exponent vectors over `labels` with entries <= cap and sum <= most.
+
+    Built one label at a time, each entry from its largest value down, so the vectors come in descending order.
+    """
+    rows = [((), 0, 0)]
+    for j in labels:
+        rows = [(v + (e,), s + e, t + e * j) for v, s, t in rows for e in range(min(cap, most - s), -1, -1)]
+    return rows
+
+
+def leading_keys(n: int, degree: int):
+    """The admissible_keys(n, degree) whose first entry is their largest, in the same order.
+
+    For each leading entry a, from `degree` down, a head over labels 2..(n + 1) // 2 is
+    matched to the tails over the rest with the sum and label sum mod n it needs. Heads and
+    tails have entries <= a and sum <= degree - a, so the tables for one a stay small.
+    """
+    if n < 1 or degree < 0:
+        raise ValueError("need n >= 1 and degree >= 0")
+    half = (n + 1) // 2
+    for a in range(degree, -(-degree // n) - 1, -1):  # n entries of at most a must reach the degree
+        rest = degree - a
+        tails = {}
+        for v, s, t in _capped(range(half + 1, n + 1), a, rest):
+            tails.setdefault((s, t % n), []).append(v)
+        for v, s, t in _capped(range(2, half + 1), a, rest):
+            tail_keys = tails.get((rest - s, (-a - t) % n))
+            if tail_keys:
+                head = (a,) + v
+                for tail in tail_keys:
+                    yield head + tail
 
 
 def canonical_residues(parts, n: int) -> tuple:

@@ -15,6 +15,7 @@ from msproots.partitions import (
     is_prime,
     is_prime_power,
     lambda_tilde_size,
+    leading_keys,
     parse_partition,
 )
 
@@ -58,6 +59,41 @@ def test_admissible_keys_match_the_filtered_enumeration():
     for n, degree in [(0, 3), (3, -1)]:
         with pytest.raises(ValueError):
             next(admissible_keys(n, degree))
+
+
+def test_leading_keys_are_the_admissible_keys_led_by_their_largest_entry():
+    """Same keys in the same order as the filtered admissible stream, up to 120,000 admissible keys."""
+    for n in range(1, 13):
+        for degree in (0, n, 2 * n, 3 * n):
+            if degree and lambda_tilde_size(n, degree // n) > 120_000:
+                continue
+            want = [key for key in admissible_keys(n, degree) if key[0] == max(key)]
+            assert list(leading_keys(n, degree)) == want, (n, degree)
+    assert list(leading_keys(3, 0)) == [(0, 0, 0)]
+    for n, degree in [(0, 3), (-1, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            next(leading_keys(n, degree))
+
+
+def test_leading_keys_meet_each_orbit_at_its_first_admissible_key():
+    """Under the relabelings x_j -> x_(l*j + c), the first leading key of an orbit is its first admissible key."""
+    from msproots.groupdet import relabeling
+
+    def first_keys(keys, n):
+        maps = [relabeling(n, l, c) for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
+        seen, firsts = set(), []
+        for key in keys:
+            if key not in seen:
+                firsts.append(key)
+                seen.update(image(key) for image in maps)
+        return firsts
+
+    orbits = {}
+    for n in range(1, 13):
+        reps = first_keys(admissible_keys(n, n), n)
+        assert first_keys(leading_keys(n, n), n) == reps, n
+        orbits[n] = len(reps)
+    assert (orbits[10], orbits[12]) == (268, 2806)  # as Burnside's lemma counts them
 
 
 def test_canonical_residues_examples():

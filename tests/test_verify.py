@@ -424,7 +424,7 @@ def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("keys enumerated before the budget check")
 
-    monkeypatch.setattr(groupdet, "admissible_keys", boom)
+    monkeypatch.setattr(groupdet, "leading_keys", boom)
     monkeypatch.setattr(verify, "admissible_keys", boom)
     with pytest.raises(BudgetExceeded, match="18784170 count vectors or map keys exceed the budget of 10000000"):
         explore_conjecture(16, 1)  # lambda_tilde_size(16, 1) keys, over the default budget
