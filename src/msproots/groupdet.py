@@ -5,9 +5,9 @@ The determinant of the circulant variable matrix for the cyclic group
 signed permutation sum, the product of the n character linear forms
 (whose k-fold repetition gives the k-th power), and one walk over that
 product pruned to a representative key of each orbit under the affine
-relabelings, whose values fill every orbit and are raised to the k-th
-power by sparse products. Monomials live in sparse exponent-vector maps
-with exact integer coefficients.
+relabelings (`orbit_values`), whose values at k = 1 fill every orbit and
+are raised to the k-th power by sparse products. Monomials live in
+sparse exponent-vector maps with exact integer coefficients.
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ class MonomialMap:
             if coeff == 0:
                 continue
             key = tuple(key)
-            if len(key) != n_vars or sum(key) != degree:
-                raise ValueError(f"exponent vector {key} does not fit degree {degree} in {n_vars} variables")
+            if len(key) != n_vars or sum(key) != degree or min(key, default=0) < 0:
+                raise ValueError(f"exponent vector {key} is not {n_vars} nonnegative entries of sum {degree}")
             clean[key] = coeff
         self._terms = clean
 
@@ -227,49 +227,56 @@ def dedekind_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     return result
 
 
-def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
-    """The same k-th determinant power as dedekind_expand, from one walk over orbit representatives.
+def relabelings(n: int, k: int = 1) -> list:
+    """(key map, sign (-1)^(c(n-1)k)) of each relabeling x_j -> x_(l*j + c), gcd(l, n) = 1, once.
 
-    By Theorem 3.2 each determinant coefficient is the orbit-sum value of
-    its key. The relabelings x_j -> x_(l*j + c), gcd(l, n) = 1, permute
-    the keys and multiply the coefficients by (-1)^(c(n-1)): scaling by l
-    conjugates the circulant by a permutation matrix, and shifting by c
-    multiplies it by a cyclic shift. So the first key of each orbit in
-    lexicographic order (its largest exponent vector) represents it. A
-    shift moves any entry of that key to label 1, and a larger first entry
-    would give a larger key of the orbit, so it leads with its largest
-    entry: the collect streams only leading_keys(n, n), 1,290 of the 9,252
-    admissible keys at n = 10, and meets the same representatives in the
-    same order. One walk_values call over the
-    labels (its rows are the determinant's linear forms, form n as row 0),
-    kept to the count vectors below some representative, gives every
-    representative's coefficient with one readout each. Every key's label
-    sum is divisible by n, so that walk stops one row short (Lemma 2.4's
-    cyclic shift) and holds only the count vectors below the parents: 4,344
-    at (10, 1) against 10,422 below the keys themselves. Each value
-    written with its sign to the whole orbit gives the determinant; the
-    k-th power is k - 1 sparse products.
-    No map it builds holds more keys than the lambda_tilde_size(n, k)
-    admissible ones, checked against the budget before the collect; the
-    walk checks its own down-set. Nothing is memoized.
+    Scaling by l conjugates the circulant by a permutation matrix; shifting by c multiplies it by a cyclic shift.
+    """
+    return [(relabeling(n, l, c), -1 if c * (n - 1) * k % 2 else 1)
+            for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
+
+
+def orbit_values(n: int, k: int, budget: int | None = None) -> dict:
+    """{representative: coefficient} of the k-th determinant power, one key per orbit of the relabelings.
+
+    By Theorem 3.2 each coefficient is the orbit-sum value of its key, and the relabelings
+    permute the keys with the signs `relabelings` gives. The first key of an orbit in
+    lexicographic order (its largest exponent vector) represents it; a shift moves any entry to
+    label 1, so that key leads with its largest entry, and the collect streams only
+    leading_keys(n, kn) (1,290 of the 9,252 admissible keys at (10, 1)). Its seen set must
+    cover the lambda_tilde_size(n, k) admissible keys, checked against the budget first, and is
+    released before the walk. One walk_values call over the labels (its rows are the
+    determinant's linear forms, form n as row 0) reads every representative once. Every label
+    sum is divisible by n, so it stops one row short (Lemma 2.4) and holds the parents'
+    down-set, 4,344 count vectors at (10, 1) against 10,422 below the keys, budget-checked.
     """
     tilde = lambda_tilde_size(n, k)  # a ValueError unless n and k are positive
     check_budget(tilde, budget)
-    maps = [(relabeling(n, l, c), -1 if c * (n - 1) % 2 else 1)
-            for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
-    orbit = {}  # every key seen, mapped to its representative and sign: it is also the seen set
+    maps = [image for image, _ in relabelings(n)]
+    seen = set()
     reps = []
-    for key in leading_keys(n, n):
-        if key in orbit:
-            continue
-        reps.append(key)
-        for image, sign in maps:
-            orbit[image(key)] = key, sign
-    cover = tilde if k == 1 else lambda_tilde_size(n, 1)
-    if len(orbit) != cover:
-        raise AssertionError(f"orbits cover {len(orbit)} keys, the index-set size is {cover}; arithmetic is broken")
-    values = walk_values(range(1, n + 1), reps, n, budget)
-    det = {key: sign * values[rep] for key, (rep, sign) in orbit.items() if values[rep]}
+    for key in leading_keys(n, k * n):
+        if key not in seen:
+            reps.append(key)
+            seen.update([image(key) for image in maps])
+    if len(seen) != tilde:
+        raise AssertionError(f"orbits cover {len(seen)} keys, the index-set size is {tilde}; arithmetic is broken")
+    del seen
+    return walk_values(range(1, n + 1), reps, n, budget)
+
+
+def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
+    """The same k-th determinant power as dedekind_expand: each nonzero value of orbit_values(n, 1)
+    written with its sign to its orbit, then k - 1 sparse products. No map holds more than the
+    lambda_tilde_size(n, k) admissible keys, checked against the budget first. Nothing is memoized.
+    """
+    check_budget(lambda_tilde_size(n, k), budget)  # a ValueError unless n and k are positive
+    maps = relabelings(n)
+    det = {}
+    for rep, value in orbit_values(n, 1, budget).items():
+        if value:
+            for image, sign in maps:
+                det[image(rep)] = sign * value
     return reduce(mul, [MonomialMap._trusted(n, n, det)] * k)
 
 

@@ -73,31 +73,6 @@ def enumerate_partitions(n: int, length: int, allow_zero: bool = False):
     return combinations_with_replacement(range(lo, n + 1), length)
 
 
-def admissible_keys(n: int, degree: int):
-    """Exponent vectors of sum `degree` over labels 1..n whose labels sum to 0 mod n, one at a time.
-
-    Entry j - 1 is the exponent of label j, so these are the partitions of `degree` parts in
-    1..n with part sum divisible by n, in ascending order (descending order of the vectors).
-    A key joins a head over labels 1..(n + 1) // 2 to a tail over the rest; only the tails
-    are tabled, by (sum, label sum mod n).
-    """
-    if n < 1 or degree < 0:
-        raise ValueError("need n >= 1 and degree >= 0")
-    half = (n + 1) // 2
-    tails = {}
-    for combo in combinations_with_replacement(range(half + 1, n + 2), degree):  # label n + 1 pads the sum
-        pad = combo.count(n + 1)
-        tails.setdefault((degree - pad, (sum(combo) - (n + 1) * pad) % n), []).append(
-            tuple(map(combo.count, range(half + 1, n + 1))))
-    for combo in combinations_with_replacement(range(1, half + 2), degree):  # label half + 1 pads it
-        pad = combo.count(half + 1)  # the sum the tail needs
-        tail_keys = tails.get((pad, ((half + 1) * pad - sum(combo)) % n))
-        if tail_keys:
-            head = tuple(map(combo.count, range(1, half + 1)))
-            for tail in tail_keys:
-                yield head + tail
-
-
 def _capped(labels, cap: int, most: int) -> list:
     """(vector, sum, label sum) for the exponent vectors over `labels` with entries <= cap and sum <= most.
 
@@ -110,11 +85,13 @@ def _capped(labels, cap: int, most: int) -> list:
 
 
 def leading_keys(n: int, degree: int):
-    """The admissible_keys(n, degree) whose first entry is their largest, in the same order.
+    """Exponent vectors of sum `degree` over labels 1..n, labels summing to 0 mod n, led by their largest entry.
 
-    For each leading entry a, from `degree` down, a head over labels 2..(n + 1) // 2 is
-    matched to the tails over the rest with the sum and label sum mod n it needs. Heads and
-    tails have entries <= a and sum <= degree - a, so the tables for one a stay small.
+    Entry j - 1 is the exponent of label j. They come in descending order, which is ascending
+    order of their partitions (parts in 1..n, part sum divisible by n). For each leading entry
+    a, from `degree` down, a head over labels 2..(n + 1) // 2 is matched to the tails over the
+    rest with the sum and label sum mod n it needs. Heads and tails have entries <= a and sum
+    <= degree - a, so the tables for one a stay small.
     """
     if n < 1 or degree < 0:
         raise ValueError("need n >= 1 and degree >= 0")

@@ -25,8 +25,10 @@ from .groupdet import (
     key_partition,
     leibniz_determinant,
     orbit_expand,
+    orbit_values,
     prime_term_count,
     relabeling,
+    relabelings,
 )
 from .msp import (
     NAIVE_LENGTH_LIMIT,
@@ -40,7 +42,6 @@ from .msp import (
     reduce_two_distinct,
 )
 from .partitions import (
-    admissible_keys,
     binomial,
     enumerate_partitions,
     format_partition,
@@ -411,7 +412,7 @@ def _thm32_plan(n, k, budget):
     expansion = orbit_expand(n, k, budget)
     tilde = lambda_tilde_size(n, k)
     sweep = tilde <= COEFFICIENT_SWEEP_CAP
-    keys = list(admissible_keys(n, k * n)) if sweep else []
+    keys = [key for key in _family(n, k * n) if sum(map(mul, key, range(1, n + 1))) % n == 0] if sweep else []
     if sweep and len(keys) != tilde:
         raise TheoremViolation(f"enumeration found {len(keys)} partitions, formula says {tilde}")
 
@@ -513,25 +514,21 @@ def explore_conjecture(n: int, k: int, budget: int | None = None) -> ConjectureR
     Produces evidence for the open question of which orders n >= 2 leave
     no coefficient zero; nothing conjectural is asserted. The one hard
     assertion is the proven case k = 1 with n prime, where a zero
-    coefficient is impossible. The coefficients come from orbit_expand,
-    whose key guard raises BudgetExceeded before any key is enumerated.
+    coefficient is impossible. The coefficients are orbit_values(n, k),
+    one per orbit of the relabelings, whose key guard raises
+    BudgetExceeded before any key is enumerated; the zeros are every
+    image of a zero representative, as sorted partitions.
     """
     if n < 2 or k < 1:
         raise ValueError("the conjecture concerns orders n >= 2 and powers k >= 1")
     t0 = time.perf_counter()
-    expansion = orbit_expand(n, k, budget)
-    total = lambda_tilde_size(n, k)
-    zeros = []
-    seen = 0
-    for seen, key in enumerate(admissible_keys(n, k * n), 1):
-        if key not in expansion:
-            zeros.append(key_partition(key))
-    if seen != total:
-        raise TheoremViolation(f"enumeration found {seen} partitions, formula says {total}")
+    values = orbit_values(n, k, budget)
+    maps = [image for image, _ in relabelings(n, k)]
+    zeros = sorted({key_partition(image(rep)) for rep, value in values.items() if not value for image in maps})
     if k == 1 and is_prime(n) and zeros:
         raise TheoremViolation(
             f"zero coefficient at prime n={n}, k=1: lambda={format_partition(zeros[0])}")
     prime_power = is_prime_power(n)
     elapsed = (time.perf_counter() - t0) * 1000
-    return ConjectureReport(n, k, total, zeros, prime_power,
+    return ConjectureReport(n, k, lambda_tilde_size(n, k), zeros, prime_power,
                             prime_power == (not zeros), elapsed)

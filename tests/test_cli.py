@@ -172,7 +172,7 @@ def test_explicit_default_budget_matches_omitted(monkeypatch):
     assert run_cli(argv) == omitted
 
 
-@pytest.mark.parametrize("n,k,bound", [(6, 1, 80), (4, 2, 43), (3, 3, 19), (10, 1, 9_252)])
+@pytest.mark.parametrize("n,k,bound", [(6, 1, 80), (10, 1, 9_252)])
 def test_conjecture_and_expand_refuse_at_the_same_budget(n, k, bound):
     # each stops at the lambda_tilde keys; the walks at (6, 1) and (10, 1) hold only 66 and 4,344 count vectors
     for budget, want in ((bound - 1, 3), (bound, 0)):
@@ -184,6 +184,17 @@ def test_conjecture_and_expand_refuse_at_the_same_budget(n, k, bound):
         code, err = outcomes[0]
         assert code == want, (budget, err)
         assert (f"{bound} count vectors or map keys exceed the budget of {bound - 1}" in err) == (want == 3)
+
+
+@pytest.mark.parametrize("n,k,conjecture_bound,expand_bound", [(4, 2, 101, 43), (3, 3, 72, 19)])
+def test_conjecture_refuses_at_its_walk_and_expand_at_its_keys(n, k, conjecture_bound, expand_bound):
+    # at k >= 2 the conjecture walks below its representatives of degree kn, a down-set larger
+    # than the lambda_tilde keys; expand and count walk at degree n and stop at those keys
+    for command, bound in (("conjecture", conjecture_bound), ("expand", expand_bound), ("count", expand_bound)):
+        for budget, want in ((bound - 1, 3), (bound, 0)):
+            code, _, err = run_cli([command, "--n", str(n), "--k", str(k), "--budget", str(budget)])
+            assert code == want, (command, budget, err)
+            assert (f"{bound} count vectors or map keys exceed the budget of {bound - 1}" in err) == (want == 3)
 
 
 def test_verify_single_suite():

@@ -19,10 +19,15 @@ from operator import mul
 
 import pytest
 
-from msproots.groupdet import MonomialMap, leibniz_determinant, orbit_expand
-from msproots.partitions import _prime_factors, admissible_keys, lambda_tilde_size
+from msproots.groupdet import MonomialMap, exponent_key, leibniz_determinant, orbit_expand
+from msproots.partitions import _prime_factors, enumerate_partitions, lambda_tilde_size
 
 SIZES = [(4, 1), (6, 1), (8, 1), (9, 1), (10, 1), (6, 2), (8, 2), (4, 3)]
+
+
+def admissible_keys(n, d):
+    """The exponent vectors of the partitions of d parts in 1..n with part sum divisible by n."""
+    return [exponent_key(lam, n) for lam in enumerate_partitions(n, d) if sum(lam) % n == 0]
 
 
 def predicted(key, small, q, m):

@@ -129,7 +129,7 @@ def test_cli_stdout_matches_golden(argv):
 
 
 def test_expand_count_and_conjecture_do_not_walk(monkeypatch):
-    """CLI expand and count and the conjecture's expansion branch take the orbit route."""
+    """CLI expand, count and conjecture take the orbit route."""
     assert not hasattr(cli, "dedekind_expand") and not hasattr(verify, "dedekind_expand")
     monkeypatch.setattr(groupdet, "dedekind_expand", None)
     for argv in RUNS:

@@ -16,6 +16,7 @@ from msproots.groupdet import (
     leibniz_determinant,
     orbit_expand,
     prime_term_count,
+    relabelings,
 )
 from msproots.partitions import enumerate_partitions, format_partition, lambda_tilde_size
 
@@ -205,20 +206,24 @@ def test_orbit_expand_maps_pass_the_validating_constructor():
 
 
 def test_affine_relabeling_sign_law_on_walk():
-    """x_j -> x_(l*j + c) with gcd(l, n) = 1 multiplies each determinant
-    coefficient by (-1)^(c(n-1)); this is the law orbit_expand relies on."""
-    for n in range(1, 9):
-        det = dedekind_expand(n, 1)
+    """x_j -> x_(l*j + c) with gcd(l, n) = 1 multiplies each coefficient of the k-th determinant
+    power by (-1)^(c(n-1)k); relabelings(n, k) lists each once, with that sign, as orbit_values relies on."""
+    for n, k in [(n, 1) for n in range(1, 9)] + [(n, k) for n in range(1, 6) for k in (2, 3)]:
+        power = dedekind_expand(n, k)
+        maps = iter(relabelings(n, k))
         for l in range(1, n + 1):
             if gcd(l, n) != 1:
                 continue
             for c in range(n):
-                sign = (-1) ** (c * (n - 1))
-                for key, coeff in det.items():
+                image, sign = next(maps)
+                assert sign == (-1) ** (c * (n - 1) * k), (n, k, l, c)
+                for key, coeff in power.items():
                     new = [0] * n
                     for v, e in enumerate(key, start=1):
                         new[(l * v + c - 1) % n] += e
-                    assert det.coefficient(new) == sign * coeff, (n, l, c, key)
+                    assert image(key) == tuple(new), (n, k, l, c, key)
+                    assert power.coefficient(new) == sign * coeff, (n, k, l, c, key)
+        assert next(maps, None) is None, (n, k)
 
 
 def test_dedekind_keys_have_divisible_weight():
@@ -269,6 +274,15 @@ def test_monomial_map_validation_and_zero_drop():
         MonomialMap(2, 2, {(1, 2): 1})
     with pytest.raises(ValueError):
         MonomialMap(2, 2, {(1,): 1})
+
+
+@pytest.mark.parametrize("key", [(3, -1), (-1, 3), (4, -2)])
+def test_monomial_map_rejects_negative_exponents(key):
+    """Such a key fits the degree, but a packed product would carry its negative field into the next."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        MonomialMap(2, 2, {key: 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        MonomialMap(3, 2, {key + (0,): 1, (2, 0, 0): 1})
 
 
 def test_relabel_fixes_expansions():

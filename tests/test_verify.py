@@ -281,30 +281,68 @@ def test_family_keys_are_the_partition_enumeration_in_order():
             assert _family(n, length) == [exponent_key(lam, n) for lam in enumerate_partitions(n, length)], (n, length)
 
 
-@pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 11)] + [(6, 2), (4, 3)])
+@pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 11)] + [(6, 2), (4, 3), (6, 3), (6, 4), (5, 2), (7, 2)])
 def test_explore_conjecture_zeros_match_the_partition_enumeration(n, k):
+    """The zeros from the orbit values are the admissible partitions that the expanded power leaves out."""
     from msproots.groupdet import exponent_key, orbit_expand
 
     expansion = orbit_expand(n, k)
     want = [lam for lam in enumerate_partitions(n, k * n)
             if sum(lam) % n == 0 and expansion.coefficient(exponent_key(lam, n)) == 0]
     assert explore_conjecture(n, k).zero_coefficients == want
+    assert len(want) == {(6, 2): 54, (6, 3): 54, (6, 4): 60, (5, 2): 0, (7, 2): 0}.get((n, k), len(want))
+
+
+def test_explore_conjecture_zeros_at_12_match_the_recorded_digest():
+    """sha256 of the 26,220 zero partitions at (12, 1), one per line, recorded from the route that multiplied
+    out the determinant and tested every admissible key against it."""
+    import hashlib
+
+    rep = explore_conjecture(12, 1)
+    text = "".join(format_partition(lam) + "\n" for lam in rep.zero_coefficients)
+    assert (rep.total, len(rep.zero_coefficients)) == (112_720, 26_220)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "042e99226a0741353132e44a118d430de45c0fb1fc883706dc4a19f6d2c4a4cb")
+
+
+@pytest.mark.parametrize("n,k,orbits", [(6, 1, 12), (6, 2, 116)])
+def test_explore_conjecture_walks_once_over_the_orbit_representatives(monkeypatch, n, k, orbits):
+    from msproots import groupdet, verify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the conjecture multiplied out the power")
+
+    walks, collects = [], []
+    walk, leading = groupdet.walk_values, groupdet.leading_keys
+    monkeypatch.setattr(groupdet, "orbit_expand", boom)
+    monkeypatch.setattr(verify, "orbit_expand", boom)
+    monkeypatch.setattr(groupdet, "walk_values", lambda columns, targets, *args: walks.append(len(targets))
+                        or walk(columns, targets, *args))
+    monkeypatch.setattr(groupdet, "leading_keys", lambda *args: collects.append(args) or leading(*args))
+    explore_conjecture(n, k)
+    assert walks == [orbits] and collects == [(n, k * n)]
 
 
 def test_explore_conjecture_raises_on_a_zero_at_a_prime(monkeypatch):
-    edited(monkeypatch, "orbit_expand", 3, 1, lambda t: t.pop((1, 1, 1)))
+    from msproots import verify
+
+    honest = verify.orbit_values(3, 1)
+    assert honest[(1, 1, 1)] != 0
+    monkeypatch.setattr(verify, "orbit_values", lambda *args: {**honest, (1, 1, 1): 0})
     with pytest.raises(TheoremViolation, match="zero coefficient at prime n=3, k=1: lambda=1,2,3"):
         explore_conjecture(3, 1)
 
 
 def test_suites_raise_when_enumeration_and_formula_disagree(monkeypatch):
-    from msproots import verify
+    from msproots import groupdet, verify
 
     honest = verify.lambda_tilde_size
     monkeypatch.setattr(verify, "lambda_tilde_size", lambda n, k: honest(n, k) + 1)
-    for run in (explore_conjecture, check_thm32):
-        with pytest.raises(TheoremViolation, match="enumeration found 4 partitions, formula says 5"):
-            run(3, 1)
+    with pytest.raises(TheoremViolation, match="enumeration found 4 partitions, formula says 5"):
+        check_thm32(3, 1)
+    monkeypatch.setattr(groupdet, "lambda_tilde_size", lambda n, k: honest(n, k) + 1)
+    with pytest.raises(AssertionError, match="orbits cover 4 keys, the index-set size is 5"):
+        explore_conjecture(3, 1)
 
 
 def test_suites_keep_no_dp_memo():
@@ -419,13 +457,12 @@ def test_explore_conjecture_composite_case():
 
 
 def test_explore_conjecture_checks_budget_before_enumerating(monkeypatch):
-    from msproots import groupdet, verify
+    from msproots import groupdet
 
     def boom(*args, **kwargs):
         raise AssertionError("keys enumerated before the budget check")
 
     monkeypatch.setattr(groupdet, "leading_keys", boom)
-    monkeypatch.setattr(verify, "admissible_keys", boom)
     with pytest.raises(BudgetExceeded, match="18784170 count vectors or map keys exceed the budget of 10000000"):
         explore_conjecture(16, 1)  # lambda_tilde_size(16, 1) keys, over the default budget
     with pytest.raises(BudgetExceeded):
