@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import verify as checks
 from .cyclotomic import IntegralityViolation
@@ -32,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 SUITES = ("thm11", "thm12", "thm32", "lemma24", "prop21", "branching", "all")
+EXPAND_CHUNK_ROWS = 1024
 
 
 def _budget(args):
@@ -94,12 +96,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    records = orbit_expand(args.n, args.k, _budget(args)).to_records()
-    if args.format == "json":
-        print(json.dumps([{"lambda": text, "coefficient": c} for text, c in records]))
+    records = orbit_expand(args.n, args.k, _budget(args)).iter_records()
+    # one write per EXPAND_CHUNK_ROWS rows, so no copy of the whole output is held beside the map
+    chunks = iter(lambda: list(islice(records, EXPAND_CHUNK_ROWS)), [])
+    write = sys.stdout.write
+    if args.format == "json":  # the bytes of json.dumps over the whole list, then a newline
+        write("[")
+        sep = ""
+        for chunk in chunks:
+            write(sep + json.dumps([{"lambda": text, "coefficient": c} for text, c in chunk])[1:-1])
+            sep = ", "
+        write("]\n")
     else:
         sep = "\t" if args.format == "tsv" else " "
-        sys.stdout.write("".join([f"{text}{sep}{c}\n" for text, c in records]))
+        for chunk in chunks:
+            write("".join([f"{text}{sep}{c}\n" for text, c in chunk]))
     return EXIT_OK
 
 

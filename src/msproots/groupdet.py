@@ -150,16 +150,21 @@ class MonomialMap:
         terms = self._terms
         return MonomialMap._trusted(n, self.degree, dict(zip(map(relabeling(n, l), terms), terms.values())))
 
-    def to_records(self):
-        """(partition text, coefficient) pairs sorted by partition for stable export.
+    def iter_records(self):
+        """(partition text, coefficient) pairs sorted by partition for stable export, one at a time.
 
         Every key has the same total, so descending order of exponent
         vectors is ascending lexicographic order of their partitions. Keys
         are distinct, so sorting them alone gives the order of the pairs.
+        Only the sorted keys are held; each text is built when it is reached.
         """
         runs = [[f"{i + 1}," * e for e in range(self.degree + 1)] for i in range(self.n_vars)]
         terms = self._terms
-        return [("".join(map(getitem, runs, key))[:-1], terms[key]) for key in sorted(terms, reverse=True)]
+        return (("".join(map(getitem, runs, key))[:-1], terms[key]) for key in sorted(terms, reverse=True))
+
+    def to_records(self):
+        """The list of iter_records()."""
+        return list(self.iter_records())
 
     def __repr__(self):
         return f"MonomialMap(n_vars={self.n_vars}, degree={self.degree}, terms={len(self._terms)})"

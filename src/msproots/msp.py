@@ -16,9 +16,9 @@ never do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import BudgetExceeded, CyclotomicInt, walk_values
 from .partitions import binomial, canonical_residues, is_prime, residues_merge_free
@@ -26,25 +26,22 @@ from .partitions import binomial, canonical_residues, is_prime, residues_merge_f
 NAIVE_LENGTH_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class EvalInstance:
+class EvalInstance(NamedTuple("EvalInstance", [("parts", tuple), ("n", int), ("k", int)])):
     """A partition together with its evaluation parameters (n, k).
 
     The part tuple must have exactly k*n entries; it is stored sorted.
     The standard index family uses parts in 0..n, but any integers are
-    accepted.
+    accepted. An instance is a tuple (parts, n, k).
     """
-    parts: tuple
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+    def __new__(cls, parts, n: int, k: int):
+        if n < 1 or k < 1:
             raise ValueError("n and k must be positive")
-        parts = tuple(sorted(self.parts))
-        if len(parts) != self.k * self.n:
-            raise ValueError(f"expected {self.k * self.n} parts for (n={self.n}, k={self.k}), got {len(parts)}")
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(sorted(parts))
+        if len(parts) != k * n:
+            raise ValueError(f"expected {k * n} parts for (n={n}, k={k}), got {len(parts)}")
+        return super().__new__(cls, parts, n, k)
 
 
 def msp_value_naive(inst: EvalInstance) -> int:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from functools import reduce
+from collections.abc import Mapping
+from functools import cache, reduce
 from itertools import combinations, permutations, product
 from math import gcd, prod
 from operator import getitem, mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .cyclotomic import CyclotomicInt, check_budget, walk_values
 from .groupdet import (
@@ -64,8 +66,7 @@ class TheoremViolation(AssertionError):
     """A machine check contradicted a proven statement."""
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     instance: str
     expected: str
     actual: str
@@ -74,15 +75,14 @@ class Failure:
         return {"lambda": self.instance, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     n: int
     k: int
     instances_checked: int
     failures: list
     elapsed_ms: float
-    sections: dict = field(default_factory=dict)
+    sections: Mapping[str, int] = MappingProxyType({})  # read-only: no report shares a dict
     l: int | None = None
 
     @property
@@ -112,8 +112,7 @@ class VerificationReport:
         return out
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     n: int
     k: int
     total: int
@@ -277,13 +276,16 @@ def check_theorems(n: int, k: int, budget: int | None = None) -> VerificationRep
 def _run(suite, names, n, k, budget) -> VerificationReport:
     """One report from one walk_values batch over the partitions that every named plan reads.
 
-    A plan takes (n, k, budget) and returns those partitions as exponent
-    vectors over the labels 1..n (every part lies in 1..n) and a check,
-    which takes their values, a sections dict and a failure list and fills
-    both. With several plans each section is prefixed by its plan's name.
+    A plan takes (n, k, budget, split) and returns those partitions as
+    exponent vectors over the labels 1..n (every part lies in 1..n) and a
+    check, which takes their values, a sections dict and a failure list and
+    fills both. split() gives _split_family(n, kn), built at most once for
+    the plans that read it. With several plans each section is prefixed by
+    its plan's name.
     """
     t0 = time.perf_counter()
-    plans = [(name, *_PLANS[name](n, k, budget)) for name in names]
+    split = cache(lambda: _split_family(n, k * n))
+    plans = [(name, *_PLANS[name](n, k, budget, split)) for name in names]
     values = walk_values(range(1, n + 1), [key for _, keys, _ in plans for key in keys], n, budget)
     sections = {}
     failures = []
@@ -309,7 +311,17 @@ def _family(n, length) -> list:
     return lead(length) if n > 1 else tails[length]
 
 
-def _thm11_plan(n, k, budget):
+def _split_family(n, length):
+    """(_family(n, length), its vectors whose label sum n divides, the others), each in family order."""
+    family = _family(n, length)
+    divisible, off = [], []
+    labels = range(1, n + 1)
+    for key in family:
+        (off if sum(map(mul, key, labels)) % n else divisible).append(key)
+    return family, divisible, off
+
+
+def _thm11_plan(n, k, budget, split):
     kn = k * n
     prime = k == 1 and is_prime(n)
     if prime:
@@ -317,10 +329,14 @@ def _thm11_plan(n, k, budget):
         # columns 1..n, so the walk's down-set is every vector of sum <= n: binom(2n, n)
         # DP states. Checked here so that the family is not enumerated first.
         check_budget(binomial(2 * n, n), budget)
-    family = _family(n, n) if prime else []
+    family = split()[0] if prime else []  # k = 1, so the family of length n
+    distinct = {}  # one tuple per distinct key: (24, 2) reads 12,996 keys 55,223 times
+
+    def shared(key):
+        return distinct.setdefault(key, key)
 
     def two_blocks(u, w, a):  # the key of a copies of u and kn - a copies of w != u
-        return tuple([a if j == u else kn - a if j == w else 0 for j in range(1, n + 1)])
+        return shared(tuple([a if j == u else kn - a if j == w else 0 for j in range(1, n + 1)]))
 
     blocks = [(lam1, a, two_blocks(lam1, n, a)) for lam1 in range(1, n) for a in range(kn + 1)]
     pairs = []
@@ -330,7 +346,8 @@ def _thm11_plan(n, k, budget):
                 continue
             for a in range(kn + 1):
                 sign, reduced = reduce_two_distinct(lam1, lam2, a, n, k)
-                pairs.append((lam1, lam2, a, two_blocks(lam1, lam2, a), sign, exponent_key(reduced.parts, n)))
+                pairs.append((lam1, lam2, a, two_blocks(lam1, lam2, a), sign,
+                              shared(exponent_key(reduced.parts, n))))
 
     def check(values, sections, failures):
         if prime:
@@ -362,7 +379,7 @@ def _thm11_plan(n, k, budget):
     return family + [b[2] for b in blocks] + [p[3] for p in pairs] + [p[5] for p in pairs], check
 
 
-def _thm12_plan(n, k, budget):
+def _thm12_plan(n, k, budget, split):
     kn = k * n
     candidates = []
     if kn >= 2:
@@ -377,7 +394,7 @@ def _thm12_plan(n, k, budget):
         if want is not None:
             patterns.append((exponent_key(lam, n), want))
     exhaustive = binomial(kn + n - 1, n - 1) <= EXHAUSTIVE_CAP
-    family = _family(n, kn) if exhaustive else []  # unit scaling keeps to the family
+    family, _, off = split() if exhaustive else ([], [], [])  # unit scaling keeps to the family
 
     def check(values, sections, failures):
         for key, want in patterns:
@@ -388,7 +405,6 @@ def _thm12_plan(n, k, budget):
         sections["near_identity_patterns"] = len(patterns)
 
         if exhaustive:
-            off = [key for key in family if sum(map(mul, key, range(1, n + 1))) % n]
             failures.extend(Failure(f"thm12_6 lambda={format_partition(key_partition(key))}", "0", str(values[key]))
                             for key in off if values[key] != 0)
             sections["vanishing_off_residue"] = len(off)
@@ -408,11 +424,11 @@ def _thm12_plan(n, k, budget):
     return [key for key, _ in patterns] + family, check
 
 
-def _thm32_plan(n, k, budget):
+def _thm32_plan(n, k, budget, split):
     expansion = orbit_expand(n, k, budget)
     tilde = lambda_tilde_size(n, k)
     sweep = tilde <= COEFFICIENT_SWEEP_CAP
-    keys = [key for key in _family(n, k * n) if sum(map(mul, key, range(1, n + 1))) % n == 0] if sweep else []
+    keys = split()[1] if sweep else []
     if sweep and len(keys) != tilde:
         raise TheoremViolation(f"enumeration found {len(keys)} partitions, formula says {tilde}")
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import msproots
+from msproots import cli
 from msproots.cli import main
+from msproots.groupdet import MonomialMap
 
 
 def run_cli(argv):
@@ -131,6 +133,24 @@ def test_expand_tsv():
     code, out, _ = run_cli(["expand", "--n", "2", "--k", "1", "--format", "tsv"])
     assert code == 0
     assert out.splitlines() == ["1,1\t-1", "2,2\t1"]
+
+
+def test_expand_of_an_empty_map(monkeypatch):
+    """The chunked writer gives json.dumps' own bytes, "[]", when there are no rows."""
+    monkeypatch.setattr(cli, "orbit_expand", lambda n, k, budget: MonomialMap(n, k * n, {}))
+    assert run_cli(["expand", "--n", "3"]) == (0, "[]\n", "")
+    assert run_cli(["expand", "--n", "3", "--format", "tsv"]) == (0, "", "")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """The record types are tuples, so a CLI process imports neither module (about 1 MB and 6-9 ms)."""
+    src = str(Path(msproots.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import msproots.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # -S: no site hooks, which could import either module before the package does
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_count_golden():

@@ -138,6 +138,20 @@ def test_expand_count_and_conjecture_do_not_walk(monkeypatch):
     assert len(verify.explore_conjecture(6, 1).zero_coefficients) == 12
 
 
+@pytest.mark.parametrize("argv", [["expand", "--n", "9", "--k", "1", "--format", "plain"],
+                                  ["expand", "--n", "7", "--k", "2", "--format", "json"],
+                                  ["expand", "--n", "10", "--k", "1", "--format", "tsv"]], ids=" ".join)
+def test_expand_streams_its_rows_in_chunks(monkeypatch, argv):
+    """CLI expand writes from iter_records a chunk at a time and never builds the record list;
+    these runs (2,704, 5,538 and 7,492 rows) span several chunks."""
+    assert len(groupdet.orbit_expand(int(argv[2]), int(argv[4]))) > 2 * cli.EXPAND_CHUNK_ROWS
+
+    def refuse(self):
+        raise AssertionError("CLI expand built the whole record list")
+    monkeypatch.setattr(groupdet.MonomialMap, "to_records", refuse)
+    assert digest(argv) == (0, GOLDEN[" ".join(argv)])
+
+
 if __name__ == "__main__":
     for argv in RUNS:
         print(f'    "{" ".join(argv)}": "{digest(argv)[1]}",')

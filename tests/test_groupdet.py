@@ -454,18 +454,19 @@ def _records_by_sorted_partition(m):
 @pytest.mark.parametrize("n,k", [(10, 1), (3, 3), (6, 3), (2, 5)])
 def test_records_order_matches_sorted_partitions(n, k):
     m = orbit_expand(n, k)
-    assert m.to_records() == _records_by_sorted_partition(m)
+    assert list(m.iter_records()) == m.to_records() == _records_by_sorted_partition(m)
 
 
 def test_records_order_with_two_digit_labels():
     rng = random.Random(12)
     for n, degree in [(10, 3), (12, 5), (13, 1), (11, 0)]:
         m = _random_map(rng, n, degree, 200, big=True)
-        assert m.to_records() == _records_by_sorted_partition(m), (n, degree)
+        assert list(m.iter_records()) == m.to_records() == _records_by_sorted_partition(m), (n, degree)
 
 
 def test_records_sorted_by_partition():
     records = dedekind_expand(3, 1).to_records()
+    assert records == list(dedekind_expand(3, 1).iter_records())
     assert records == [("1,1,1", 1), ("1,2,3", -3), ("2,2,2", 1), ("3,3,3", 1)]
     texts = [t for t, _ in dedekind_expand(5, 1).to_records()]
     assert texts == sorted(texts, key=lambda s: tuple(int(x) for x in s.split(",")))

@@ -38,10 +38,26 @@ def naive(parts, n, k=None):
 def test_instance_validation():
     inst = EvalInstance((3, 1, 2), 3, 1)
     assert inst.parts == (1, 2, 3)
+    assert EvalInstance(parts=[2, 1, 2, 1], n=2, k=2).parts == (1, 1, 2, 2)
     with pytest.raises(ValueError):
         EvalInstance((1, 2), 3, 1)
     with pytest.raises(ValueError):
+        EvalInstance((1, 2, 3, 4), 3, 1)
+    with pytest.raises(ValueError):
         EvalInstance((1, 2, 3), 3, 0)
+    with pytest.raises(ValueError):
+        EvalInstance((), 0, 1)
+
+
+def test_instance_is_an_immutable_tuple():
+    inst = EvalInstance((3, 1, 2), 3, 1)
+    assert inst == ((1, 2, 3), 3, 1) and tuple(inst) == (inst.parts, inst.n, inst.k)
+    assert len({inst, EvalInstance((2, 3, 1), 3, 1)}) == 1
+    assert hash(inst) == hash(((1, 2, 3), 3, 1))
+    for name in ("parts", "n", "k", "other"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 1)
+    assert inst == EvalInstance((1, 2, 3), 3, 1)
 
 
 def test_naive_examples():

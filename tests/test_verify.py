@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from msproots import verify
 from msproots.msp import BudgetExceeded, msp_values_dp
 from msproots.partitions import enumerate_partitions, format_partition
 from msproots.verify import (
@@ -421,6 +422,37 @@ def test_empty_report_is_skipped():
     assert rep.to_dict()["skipped"] is True
     full = check_thm11(3, 1)
     assert not full.skipped and "skipped" not in full.to_dict()
+
+
+def test_reports_are_tuples_that_share_no_sections_dict():
+    a, b = check_thm12(3, 1), check_thm12(3, 1)
+    assert a.sections == b.sections and a.sections is not b.sections
+    lemma = check_lemma_2_4(3, (1, 2, 3))
+    assert lemma.sections == {} and "sections" not in lemma.to_dict()
+    with pytest.raises(TypeError):
+        lemma.sections["thm11.prime_equivalence"] = 1
+    suite, n, k, checked, failures, _, sections, l = a
+    assert (suite, n, k, checked, failures, sections, l) == ("thm12", 3, 1, a.instances_checked, [], a.sections, None)
+
+
+def test_theorem_batch_builds_one_family(monkeypatch):
+    """thm11's prime family, thm12's exhaustive family and thm32's sweep keys share one _family call."""
+    calls = []
+    family = verify._family
+    monkeypatch.setattr(verify, "_family", lambda n, length: calls.append((n, length)) or family(n, length))
+    report = check_theorems(7, 1)
+    assert calls == [(7, 7)] and report.passed
+    assert {name: report.sections[name] for name in ("thm11.prime_equivalence", "thm12.vanishing_off_residue",
+                                                      "thm32.coefficient_agreement")} == {
+        "thm11.prime_equivalence": 1716, "thm12.vanishing_off_residue": 1470, "thm32.coefficient_agreement": 246}
+    check_theorems(8, 1)  # no family sweep at (8, 1)
+    assert calls == [(7, 7)]
+
+
+@pytest.mark.parametrize("n,k,distinct", [(6, 2, 171), (24, 2, 12_996)])
+def test_thm11_holds_one_tuple_per_distinct_key(n, k, distinct):
+    keys, _ = verify._thm11_plan(n, k, None, None)
+    assert len(set(keys)) == len({id(key) for key in keys}) == distinct
 
 
 def test_reports_deterministic():
