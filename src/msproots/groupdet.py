@@ -11,7 +11,9 @@ sparse exponent-vector maps with exact integer coefficients.
 """
 from __future__ import annotations
 
-from functools import reduce
+import struct
+from functools import lru_cache, reduce
+from itertools import repeat
 from math import gcd
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
@@ -47,19 +49,33 @@ def key_partition(key) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int, degree: int) -> struct.Struct:
+    """Key as one int: big-endian unsigned fields of 1, 2, 4 or 8 bytes (fewest that hold the degree), label 1 first."""
+    return struct.Struct(f">{n}{next(c for c in 'BHIQ' if degree < 256 ** struct.calcsize('>' + c))}")
+
+
+def _pack(layout, key) -> int:
+    return int.from_bytes(layout.pack(*key), "big")  # struct.error unless n entries that fit their fields
+
+
+def _unpacked(layout, packed):
+    return map(layout.unpack, map(int.to_bytes, packed, repeat(layout.size), repeat("big")))
+
+
 class MonomialMap:
     """Sparse homogeneous integer polynomial keyed by exponent vectors.
 
     key[i] is the exponent of variable x_(i+1); every stored key shares
-    the same total degree and no zero coefficient is ever stored.
+    the same total degree and no zero coefficient is ever stored. Keys are
+    taken and given as tuples and held as ints in `_layout(n_vars, degree)`.
     Instances should be treated as immutable.
     """
 
-    __slots__ = ("n_vars", "degree", "_terms")
+    __slots__ = ("n_vars", "degree", "_layout", "_terms")
 
     def __init__(self, n_vars, degree, terms):
-        self.n_vars = n_vars
-        self.degree = degree
+        layout = _layout(n_vars, degree)
         clean = {}
         for key, coeff in terms.items():
             if coeff == 0:
@@ -67,30 +83,33 @@ class MonomialMap:
             key = tuple(key)
             if len(key) != n_vars or sum(key) != degree or min(key, default=0) < 0:
                 raise ValueError(f"exponent vector {key} is not {n_vars} nonnegative entries of sum {degree}")
-            clean[key] = coeff
-        self._terms = clean
+            clean[_pack(layout, key)] = coeff
+        self.n_vars, self.degree, self._layout, self._terms = n_vars, degree, layout, clean
 
     @classmethod
     def _trusted(cls, n_vars, degree, terms):
-        """A map over terms already known to fit n_vars and degree and to hold no zero coefficient."""
+        """A map over packed keys already known to be in the layout of n_vars and degree, with no zero coefficient."""
         self = object.__new__(cls)
-        self.n_vars, self.degree, self._terms = n_vars, degree, terms
+        self.n_vars, self.degree, self._layout, self._terms = n_vars, degree, _layout(n_vars, degree), terms
         return self
 
     def __len__(self):
         return len(self._terms)
 
     def __iter__(self):
-        return iter(self._terms)
+        return _unpacked(self._layout, self._terms)
 
     def __contains__(self, key):
-        return tuple(key) in self._terms
+        return self.coefficient(key) != 0  # no zero coefficient is stored
 
     def items(self):
-        return self._terms.items()
+        return zip(self, self._terms.values())
 
     def coefficient(self, key) -> int:
-        return self._terms.get(tuple(key), 0)
+        try:
+            return self._terms.get(int.from_bytes(self._layout.pack(*key), "big"), 0)
+        except struct.error:  # the wrong length, or an entry outside its field: no stored key equals it
+            return 0
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMap):
@@ -100,26 +119,20 @@ class MonomialMap:
     __hash__ = None
 
     def __mul__(self, other):
-        """Product of two maps, with each exponent vector packed into one int.
-
-        A key becomes one field of `b` bits per variable (Kronecker
-        substitution), where `b` is the bit length of the product's
-        degree. No exponent of the product exceeds that degree, so no
-        field carries into the next and a key sum is one int add. Each
-        product key is unpacked once, at the end. A map times itself visits
-        each unordered pair of terms once: c1*c1 for the diagonal and
-        2*c1*c2 for each cross pair.
+        """Product of two maps: in the product's layout, whose fields hold its degree, no field carries, so
+        a key sum is one int add (Kronecker substitution), and no product key is unpacked. A map times
+        itself visits each unordered pair of terms once: c1*c1 for the diagonal, 2*c1*c2 for a cross pair.
         """
         if not isinstance(other, MonomialMap):
             return NotImplemented
         if self.n_vars != other.n_vars:
             raise ValueError("variable counts differ")
         degree = self.degree + other.degree
-        b = degree.bit_length()
-        fields = [b * i for i in range(self.n_vars)]
+        layout = _layout(self.n_vars, degree)
 
-        def packed(m):
-            return [(sum([e << pos for e, pos in zip(key, fields)]), c) for key, c in m._terms.items()]
+        def packed(m):  # m's (key, coefficient) pairs, repacked only if its field width is not the product's
+            keys = m._terms if m._layout.size == layout.size else map(_pack, repeat(layout), m)
+            return list(zip(keys, m._terms.values()))
 
         left = packed(self)
         out = {}
@@ -138,29 +151,33 @@ class MonomialMap:
                 for k2, c2 in right:
                     key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
-        field = (1 << b) - 1
-        return MonomialMap._trusted(self.n_vars, degree, {tuple([(key >> pos) & field for pos in fields]): c
-                                                          for key, c in out.items() if c})
+        return MonomialMap._trusted(self.n_vars, degree, {key: c for key, c in out.items() if c})
 
     def relabel(self, l: int) -> "MonomialMap":
-        """Apply the variable relabeling x_v -> x_(l*v mod n), representatives in 1..n."""
+        """Apply the variable relabeling x_v -> x_(l*v mod n), representatives in 1..n, to the keys laid end to end."""
         n = self.n_vars
         if gcd(l, n) != 1:
             raise ValueError(f"relabeling factor {l} must be coprime to {n}")
-        terms = self._terms
-        return MonomialMap._trusted(n, self.degree, dict(zip(map(relabeling(n, l), terms), terms.values())))
+        terms, size = self._terms, self._layout.size
+        words = struct.Struct(f">{len(terms)}Q") if size <= 8 else None  # then one call packs every key
+        keys = words.pack(*terms) if words else b"".join(map(int.to_bytes, terms, repeat(size), repeat("big")))
+        moved, pad, width = bytearray(len(keys)), max(size, 8) - size, size // n if n else 0
+        for j, source in enumerate(f * width + b for f in relabeling(n, l)(range(n)) for b in range(width)):
+            moved[pad + j::pad + size] = keys[pad + source::pad + size]  # image byte j is key byte `source`
+        images = words.unpack(moved) if words else map(
+            int.from_bytes, map(itemgetter(0), struct.iter_unpack(f"{size}s", moved)), repeat("big"))
+        return MonomialMap._trusted(n, self.degree, dict(zip(images, terms.values())))
 
     def iter_records(self):
         """(partition text, coefficient) pairs sorted by partition for stable export, one at a time.
 
-        Every key has the same total, so descending order of exponent
-        vectors is ascending lexicographic order of their partitions. Keys
-        are distinct, so sorting them alone gives the order of the pairs.
-        Only the sorted keys are held; each text is built when it is reached.
+        Every key has the same total, so descending order of their ints is
+        ascending lexicographic order of their partitions. Only the sorted
+        ints are held; each key is unpacked and its text built when reached.
         """
         runs = [[f"{i + 1}," * e for e in range(self.degree + 1)] for i in range(self.n_vars)]
-        terms = self._terms
-        return (("".join(map(getitem, runs, key))[:-1], terms[key]) for key in sorted(terms, reverse=True))
+        terms, ints = self._terms, sorted(self._terms, reverse=True)
+        return (("".join(map(getitem, runs, t))[:-1], terms[x]) for x, t in zip(ints, _unpacked(self._layout, ints)))
 
     def to_records(self):
         """The list of iter_records()."""
@@ -176,14 +193,14 @@ def leibniz_determinant(n: int) -> MonomialMap:
     Matrix entry (i, s) is the variable indexed by the representative of
     i - s mod n in 1..n. Terms are grouped by the set of columns the first
     rows have taken (Laplace expansion along the rows): row i taking column
-    s after u greater columns adds u inversions. Keys are packed one field
-    per variable, like terms combined and zeros dropped. 2^n sets, guarded.
+    s after u greater columns adds u inversions. Keys are built in the map's
+    packed layout, like terms combined and zeros dropped. 2^n sets, guarded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > LEIBNIZ_LIMIT:
         raise BudgetExceeded(f"permutation-sum expansion is limited to n <= {LEIBNIZ_LIMIT}")
-    b = n.bit_length()  # no exponent exceeds n
+    b = 8 * _layout(n, n).size // n  # bits per field; label j + 1 is the field b * (n - 1 - j) bits up
     level = {0: {0: 1}}  # used-column bitmask (column s is bit s - 1) -> {packed key: coeff}
     for i in range(1, n + 1):
         nxt = {}
@@ -193,14 +210,12 @@ def leibniz_determinant(n: int) -> MonomialMap:
                 if used & bit:
                     continue
                 sign = -1 if (used >> s).bit_count() % 2 else 1
-                step = 1 << (b * ((i - s - 1) % n))
+                step = 1 << (b * (n - 1 - (i - s - 1) % n))
                 group = nxt.setdefault(used | bit, {})
                 for key, c in terms.items():
                     group[key + step] = group.get(key + step, 0) + sign * c
         level = nxt
-    field = (1 << b) - 1
-    return MonomialMap(n, n, {tuple([(key >> (b * j)) & field for j in range(n)]): c
-                              for key, c in level[(1 << n) - 1].items()})
+    return MonomialMap._trusted(n, n, {key: c for key, c in level[(1 << n) - 1].items() if c})
 
 
 _expansions: dict = {}
@@ -241,29 +256,34 @@ def relabelings(n: int, k: int = 1) -> list:
             for l in range(1, n + 1) if gcd(l, n) == 1 for c in range(n)]
 
 
+def _packed_images(n: int, degree: int):
+    """key -> its packed images under relabelings(n), in order: each scaling's image packed once and rotated."""
+    layout, bits = _layout(n, degree), 8 * _layout(n, degree).size
+    twice, full, shifts = (1 << bits) + 1, (1 << bits) - 1, range(0, bits, bits // n)
+    scalings = [relabeling(n, l) for l in range(1, n + 1) if gcd(l, n) == 1]
+    return lambda key: [(x >> c) & full for x in [_pack(layout, f(key)) * twice for f in scalings] for c in shifts]
+
+
 def orbit_values(n: int, k: int, budget: int | None = None) -> dict:
     """{representative: coefficient} of the k-th determinant power, one key per orbit of the relabelings.
 
-    By Theorem 3.2 each coefficient is the orbit-sum value of its key, and the relabelings
-    permute the keys with the signs `relabelings` gives. The first key of an orbit in
-    lexicographic order (its largest exponent vector) represents it; a shift moves any entry to
-    label 1, so that key leads with its largest entry, and the collect streams only
-    leading_keys(n, kn) (1,290 of the 9,252 admissible keys at (10, 1)). Its seen set must
-    cover the lambda_tilde_size(n, k) admissible keys, checked against the budget first, and is
-    released before the walk. One walk_values call over the labels (its rows are the
-    determinant's linear forms, form n as row 0) reads every representative once. Every label
-    sum is divisible by n, so it stops one row short (Lemma 2.4) and holds the parents'
-    down-set, 4,344 count vectors at (10, 1) against 10,422 below the keys, budget-checked.
+    By Theorem 3.2 each coefficient is the orbit-sum value of its key, and the relabelings permute the
+    keys with the signs `relabelings` gives. An orbit's largest key represents it; a shift moves any
+    entry to label 1, so that key leads with its largest entry, and the collect streams only
+    leading_keys(n, kn) (1,290 of the 9,252 admissible keys at (10, 1)). Its set of the packed images
+    seen must cover the lambda_tilde_size(n, k) admissible keys, checked against the budget first, and
+    is released before the walk. One walk_values call over the labels (its rows are the determinant's
+    linear forms, form n as row 0) reads every representative once. Every label sum is divisible by n,
+    so it stops one row short (Lemma 2.4): a down-set of 4,344 count vectors at (10, 1), not 10,422.
     """
     tilde = lambda_tilde_size(n, k)  # a ValueError unless n and k are positive
     check_budget(tilde, budget)
-    maps = [image for image, _ in relabelings(n)]
-    seen = set()
-    reps = []
+    layout, images = _layout(n, k * n), _packed_images(n, k * n)
+    seen, reps = set(), []  # packed keys, representative tuples
     for key in leading_keys(n, k * n):
-        if key not in seen:
+        if _pack(layout, key) not in seen:
             reps.append(key)
-            seen.update([image(key) for image in maps])
+            seen.update(images(key))
     if len(seen) != tilde:
         raise AssertionError(f"orbits cover {len(seen)} keys, the index-set size is {tilde}; arithmetic is broken")
     del seen
@@ -276,12 +296,11 @@ def orbit_expand(n: int, k: int, budget: int | None = None) -> MonomialMap:
     lambda_tilde_size(n, k) admissible keys, checked against the budget first. Nothing is memoized.
     """
     check_budget(lambda_tilde_size(n, k), budget)  # a ValueError unless n and k are positive
-    maps = relabelings(n)
+    images, signs = _packed_images(n, n), [sign for _, sign in relabelings(n)]
     det = {}
     for rep, value in orbit_values(n, 1, budget).items():
         if value:
-            for image, sign in maps:
-                det[image(rep)] = sign * value
+            det.update(zip(images(rep), [sign * value for sign in signs]))
     return reduce(mul, [MonomialMap._trusted(n, n, det)] * k)
 
 
