@@ -77,6 +77,7 @@ def _capped(labels, cap: int, most: int) -> list:
     """(vector, sum, label sum) for the exponent vectors over `labels` with entries <= cap and sum <= most.
 
     Built one label at a time, each entry from its largest value down, so the vectors come in descending order.
+    leading_keys builds its heads and tails here, and verify._split_family its families over labels 1..n - 1.
     """
     rows = [((), 0, 0)]
     for j in labels:

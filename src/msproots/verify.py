@@ -44,6 +44,7 @@ from .msp import (
     reduce_two_distinct,
 )
 from .partitions import (
+    _capped,
     binomial,
     enumerate_partitions,
     format_partition,
@@ -231,9 +232,9 @@ def check_branching(n: int, k: int, l: int, budget: int | None = None) -> Verifi
     if family_size > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"{family_size} partitions at power {k + l} exceed the cap of {EXHAUSTIVE_CAP}")
     t0 = time.perf_counter()
-    labels, mus = range(1, n + 1), _family(n, (k + l) * n)
+    labels, mus = range(1, n + 1), _split_family(n, (k + l) * n)[0]
     # the split halves of all mu at powers k and l are the whole families at those powers
-    halves = {p: MonomialMap(n, p * n, walk_values(labels, _family(n, p * n), n, budget)) for p in {k, l}}
+    halves = {p: MonomialMap(n, p * n, walk_values(labels, _split_family(n, p * n)[0], n, budget)) for p in {k, l}}
     split = dict((halves[k] * halves[l]).items())  # one unpack per product key, not one lookup per mu
     values = walk_values(labels, mus, n, budget)
     failures = []
@@ -298,26 +299,16 @@ def _run(suite, names, n, k, budget) -> VerificationReport:
     return VerificationReport(suite, n, k, sum(sections.values()), failures, elapsed, sections=sections)
 
 
-def _family(n, length) -> list:
-    """The exponent vectors of every partition of `length` parts in 1..n, in enumerate_partitions order.
-
-    That is descending order, built from the last entry forward: tails[s] holds those of sum s."""
-    def lead(s):  # the vectors of sum s with one more entry in front
-        return [(a,) + tail for a in range(s, -1, -1) for tail in tails[s - a]]
-
-    tails = [[(s,)] for s in range(length + 1)]
-    for _ in range(n - 2):
-        tails = [lead(s) for s in range(length + 1)]
-    return lead(length) if n > 1 else tails[length]
-
-
 def _split_family(n, length):
-    """(_family(n, length), its vectors whose label sum n divides, the others), each in family order."""
-    family = _family(n, length)
-    divisible, off = [], []
-    labels = range(1, n + 1)
-    for key in family:
-        (off if sum(map(mul, key, labels)) % n else divisible).append(key)
+    """(family, its vectors whose label sum n divides, the others), each in enumerate_partitions order.
+
+    The family is the exponent vectors of the partitions of `length` parts in 1..n. Label n's
+    entry closes each sum and adds a multiple of n to the label sum that _capped gives."""
+    family, divisible, off = [], [], []
+    for v, s, t in _capped(range(1, n), length, length):
+        key = v + (length - s,)
+        family.append(key)
+        (off if t % n else divisible).append(key)
     return family, divisible, off
 
 

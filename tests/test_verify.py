@@ -275,11 +275,26 @@ def test_check_theorems_walks_once_and_merges_the_three_reports(monkeypatch, n, 
 
 def test_family_keys_are_the_partition_enumeration_in_order():
     from msproots.groupdet import exponent_key
-    from msproots.verify import _family
 
     for n in range(1, 8):
         for length in range(1, 11 - n):
-            assert _family(n, length) == [exponent_key(lam, n) for lam in enumerate_partitions(n, length)], (n, length)
+            family = verify._split_family(n, length)[0]
+            assert family == [exponent_key(lam, n) for lam in enumerate_partitions(n, length)], (n, length)
+
+
+def test_split_family_matches_the_stdlib_count_vectors():
+    """Family, divisible and off lists against count vectors of itertools multisets, split on part sum mod n."""
+    from itertools import combinations_with_replacement
+
+    for n in range(1, 8):
+        for length in range(0, 11 - n):
+            oracle = ([], [], [])
+            for parts in combinations_with_replacement(range(1, n + 1), length):
+                counts = Counter(parts)
+                key = tuple(counts[j] for j in range(1, n + 1))
+                oracle[0].append(key)
+                oracle[1 if sum(parts) % n == 0 else 2].append(key)
+            assert verify._split_family(n, length) == oracle, (n, length)
 
 
 @pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 11)] + [(6, 2), (4, 3), (6, 3), (6, 4), (5, 2), (7, 2)])
@@ -436,10 +451,11 @@ def test_reports_are_tuples_that_share_no_sections_dict():
 
 
 def test_theorem_batch_builds_one_family(monkeypatch):
-    """thm11's prime family, thm12's exhaustive family and thm32's sweep keys share one _family call."""
+    """thm11's prime family, thm12's exhaustive family and thm32's sweep keys share one _split_family call."""
     calls = []
-    family = verify._family
-    monkeypatch.setattr(verify, "_family", lambda n, length: calls.append((n, length)) or family(n, length))
+    split_family = verify._split_family
+    monkeypatch.setattr(verify, "_split_family",
+                        lambda n, length: calls.append((n, length)) or split_family(n, length))
     report = check_theorems(7, 1)
     assert calls == [(7, 7)] and report.passed
     assert {name: report.sections[name] for name in ("thm11.prime_equivalence", "thm12.vanishing_off_residue",
@@ -511,7 +527,7 @@ def test_thm11_checks_the_prime_family_budget_before_enumerating(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("partitions enumerated before the budget check")
 
-    monkeypatch.setattr(verify, "_family", boom)
+    monkeypatch.setattr(verify, "_split_family", boom)
     with pytest.raises(BudgetExceeded, match="10400600 count vectors or map keys exceed the budget of 10000000"):
         check_thm11(13, 1)  # binom(26, 13) count vectors of sum <= 13
     with pytest.raises(AssertionError, match="partitions enumerated"):
